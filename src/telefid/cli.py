@@ -25,7 +25,8 @@ from .core import (BellDiagonal, InputDistribution, PolarCap, PureSchmidt,
                    StateFamily, Uniform, VonMisesFisher, Werner)
 from .compare import MatchCriterion, sweep_comparison
 from .fidelity import classical_fidelity, fidelity_stats, prior_information
-from .qutrit import dimensional_advantage, participation_moment
+from .qutrit import (QutritSharedState, _cross_sum, dimensional_advantage,
+                     participation_moment)
 from .resources import (bell_probabilities_averaged, cc_cost,
                         required_entanglement)
 from .verify import run_verification
@@ -50,9 +51,12 @@ def parse_number(text: str) -> float:
             return -walk(node.operand)
         raise ValueError(f"unsupported expression {text!r}")
     try:
-        return walk(ast.parse(text.strip(), mode="eval"))
-    except (SyntaxError, ZeroDivisionError) as exc:
+        value = walk(ast.parse(text.strip(), mode="eval"))
+    except (SyntaxError, ArithmeticError, RecursionError) as exc:
         raise ValueError(f"bad number {text!r}: {exc}") from None
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise ValueError(f"bad number {text!r}: not a finite real number")
+    return value
 
 
 def parse_grid(text: str) -> np.ndarray:
@@ -167,6 +171,8 @@ def cmd_qutrit(args, parser) -> int:
     m_r = participation_moment(theta4)
     m_u = participation_moment(math.pi)
     n = args.points
+    if n < 1:
+        raise ValueError("--points must be >= 1")
     rows = []
     for i in range(n):
         a = (i + 0.5) / n
@@ -174,8 +180,7 @@ def cmd_qutrit(args, parser) -> int:
             b = (j + 0.5) / n
             if a + b > 1.0:
                 continue
-            k = (math.sqrt(a * b) + math.sqrt(a * (1.0 - a - b))
-                 + math.sqrt(b * (1.0 - a - b)))
+            k = _cross_sum(QutritSharedState(a, b))
             f_r = k + (1.0 - k) * m_r
             f_u = k + (1.0 - k) * m_u
             rows.append((a, b, f_r, f_u, f_r - f_u))

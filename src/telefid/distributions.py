@@ -176,12 +176,8 @@ def mean_polar_angle(dist: InputDistribution) -> float:
         # integrate in theta; the weight e^{kappa(cos-1)} stays in [0,1]
         w = lambda th: math.sin(th) * math.exp(k * (math.cos(th) - 1.0))
         cut = min(math.pi, 30.0 / math.sqrt(k) if k > 100.0 else math.pi)
-        pieces = [0.0, cut] if cut < math.pi else [0.0, math.pi]
-        num = 0.0
-        den = 0.0
-        for lo, hi in zip(pieces[:-1], pieces[1:]):
-            num += quad(lambda th: th * w(th), lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
-            den += quad(w, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        num = quad(lambda th: th * w(th), 0.0, cut, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        den = quad(w, 0.0, cut, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
         if cut < math.pi:
             num += quad(lambda th: th * w(th), cut, math.pi, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
             den += quad(w, cut, math.pi, epsabs=1e-16, epsrel=1e-13, limit=200)[0]

@@ -82,20 +82,25 @@ def average_fidelity(state, dist: InputDistribution) -> float:
     classical_fidelity(dist); the standard protocol has no optimality
     guarantee for arbitrary tensors.
     """
-    t1, t2, t3 = _components(state)
+    return _checked_mean(_components(state), cos_moments(dist)[2])
+
+
+def _checked_mean(t: tuple[float, float, float], m2: float) -> float:
+    """<f> from the tensor and <cos^2 theta>, warning when subclassical."""
+    t1, t2, t3 = t
     if t1 == t2 == t3:
         # isotropic tensor: f is the same constant in every direction, so
         # the average cannot depend on the distribution at all
         f = 0.5 * (1.0 - t3)
     else:
-        m2 = cos_moments(dist)[2]
         f = 0.5 * (1.0 - 0.5 * (t1 + t2) * (1.0 - m2) - t3 * m2)
-    if f < classical_fidelity(dist) - _SUBCLASSICAL_TOL:
+    f_cl = 0.5 * (1.0 + m2)
+    if f < f_cl - _SUBCLASSICAL_TOL:
         warnings.warn(
             f"average fidelity {f:.6f} is below the classical benchmark "
-            f"{classical_fidelity(dist):.6f} for this ensemble",
+            f"{f_cl:.6f} for this ensemble",
             SubclassicalFidelityWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return f
 
@@ -130,8 +135,8 @@ def fidelity_stats(state, dist: InputDistribution) -> FidelityStats:
     (both terms nonnegative), which avoids the <f^2> - <f>^2 cancellation
     and keeps the deviation accurate even when it is tiny.
     """
-    t1, t2, t3 = _components(state)
-    mean = average_fidelity(state, dist)
+    t1, t2, t3 = t = _components(state)
+    mean = _checked_mean(t, cos_moments(dist)[2])
     if t1 == t2 == t3:
         # constant pointwise fidelity: identical stats for every
         # distribution, deviation exactly zero

@@ -212,6 +212,8 @@ def dimensional_advantage(dim: int, fractional_info: float,
     n_samples draws (the resource average factorizes out of the input
     average, so per-resource re-sampling would add cost but no accuracy).
     """
+    if ensemble_size < 1:
+        raise ValueError("ensemble_size must be >= 1")
     rng = np.random.default_rng(seed)
     if dim == 2:
         fcl = (2.0 / 3.0) * (1.0 + fractional_info)
@@ -223,6 +225,8 @@ def dimensional_advantage(dim: int, fractional_info: float,
         se = 100.0 * gain * float(c.std() / math.sqrt(ensemble_size))
         return EstimatorReport(eta, se, ensemble_size, seed)
     if dim == 3:
+        if n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
         theta4 = theta4_for_fractional_info(fractional_info)
         amps = sample_qutrit_inputs(theta4, n_samples, rng)
         sq = np.abs(amps) ** 2

@@ -1,24 +1,20 @@
-"""Monte Carlo protocol simulators.
+"""Monte Carlo protocol simulators: one kernel per protocol, one driver.
 
-Each simulator draws inputs from the ensemble, runs the teleportation
-circuit in full (Bell or Weyl measurement probabilities, conditional
-output states, correction unitaries), and accumulates the per-input
-fidelity averaged over measurement outcomes.  Means and spreads are
-returned with standard errors so closed-form predictions can be checked
-at a stated significance.
+A kernel factory contracts a protocol's input-independent operators once
+and returns kernel(n, rng) -> (inputs, num[n, k], p[n, k]): n inputs drawn
+from the ensemble, the probability p_k of each measurement outcome and
+num_k = p_k f_k, f_k the fidelity of the corrected output.  The qubit
+(Bell), qutrit (Weyl) and classical measure-and-prepare (z measurement,
+re-prepare the pole state) protocols all run in full this way.  No kernel
+uses the closed-form moments, so the simulators check them independently.
 
-The qubit protocol's operators (Bell projectors, correction unitaries
-and the shared state rho) are contracted once per state into one
-quadratic form per outcome for the fidelity term and one for the outcome
-probability; each sample then costs one matmul per form.  The forms are
-built from the protocol, not from the closed-form moments, so the
-simulator stays an independent check of them.  Precomputing them does
-not change the order of random draws: inputs first, then outcomes.
-
-Chunked accumulation: each chunk gets its own child generator from
-SeedSequence.spawn, and partial sums merge in chunk-index order, so
-results for a given (n_samples, seed) are identical for any thread
-count.  Thread count defaults to the TELEFID_THREADS env var, else 1.
+`_simulate` reduces any kernel to the moments of the outcome-averaged
+fidelity sum_k num_k, with standard errors, and to the frequencies of
+outcomes drawn from p; `_shots` keeps one record per shot.  Draws come in
+a fixed order: inputs first, then outcomes.  Each chunk gets its own child
+generator from SeedSequence.spawn and partial sums merge in chunk-index
+order, so results for a given (n_samples, seed) are identical for any
+thread count (TELEFID_THREADS env var, else 1).
 """
 from __future__ import annotations
 
@@ -26,10 +22,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .core import BlochDirection, CorrelationTensor, InputDistribution, StateFamily
+from .core import (BellDiagonal, BlochDirection, CorrelationTensor, InputDistribution,
+                   PureSchmidt, StateFamily, Werner)
 from .distributions import sample_directions, sample_qutrit_inputs
 from .fidelity import _components
 
@@ -101,7 +99,6 @@ def density_matrix(state) -> np.ndarray:
     A bare CorrelationTensor falls back to the unique maximally-mixed-
     marginal state (I + sum_i t_i sigma_i x sigma_i)/4.
     """
-    from .core import BellDiagonal, PureSchmidt, Werner
     if isinstance(state, PureSchmidt):
         a = state.alpha
         v = np.zeros(4, dtype=complex)
@@ -129,58 +126,70 @@ def _thread_count(threads: int | None) -> int:
     return max(1, int(os.environ.get("TELEFID_THREADS", "1") or "1"))
 
 
-def _chunk_sizes(n: int) -> list[int]:
-    sizes = [_CHUNK] * (n // _CHUNK)
-    if n % _CHUNK:
-        sizes.append(n % _CHUNK)
-    return sizes
+def _sample_outcomes(p: np.ndarray, rng) -> np.ndarray:
+    """One outcome per row: how many of p's first K - 1 running sums a
+    uniform draw, scaled by the row total, exceeds."""
+    partial = [p[:, 0]]
+    for j in range(1, p.shape[1]):
+        partial.append(partial[-1] + p[:, j])
+    r = rng.random(p.shape[0]) * partial.pop()
+    k = np.zeros(p.shape[0], dtype=np.intp)
+    for c in partial:
+        k += r > c
+    return k
 
 
-def _run_chunks(worker, n_samples: int, seed: int, threads: int | None,
-                n_outcomes: int) -> tuple:
-    sizes = _chunk_sizes(n_samples)
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-    jobs = list(zip(sizes, children))
-    if _thread_count(threads) > 1:
-        with ThreadPoolExecutor(max_workers=_thread_count(threads)) as pool:
-            parts = list(pool.map(lambda j: worker(j[0], np.random.default_rng(j[1])),
-                                  jobs))
+def _simulate(kernel, n_outcomes: int, n_samples: int, seed: int,
+              threads: int | None) -> SimReport:
+    """Fidelity moments and outcome frequencies of `kernel` over n_samples."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+
+    def chunk(job) -> np.ndarray:
+        m, child = job
+        rng = np.random.default_rng(child)
+        _, num, p = kernel(m, rng)
+        fbar = num.sum(axis=1)
+        k = _sample_outcomes(p, rng)
+        sums = [fbar.sum(), (fbar ** 2).sum(), (fbar ** 3).sum(), (fbar ** 4).sum()]
+        return np.concatenate([sums, np.bincount(k, minlength=n_outcomes)])
+
+    full, rest = divmod(n_samples, _CHUNK)
+    sizes = [_CHUNK] * full + [rest] * (rest > 0)
+    jobs = list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
+    workers = _thread_count(threads)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(chunk, jobs))
     else:
-        parts = [worker(m, np.random.default_rng(ss)) for m, ss in jobs]
-    s1 = s2 = s3 = s4 = 0.0
-    counts = np.zeros(n_outcomes)
-    for p1, p2, p3, p4, c in parts:
-        s1 += p1
-        s2 += p2
-        s3 += p3
-        s4 += p4
-        counts += c
-    return s1, s2, s3, s4, counts
-
-
-def _finalize(s1, s2, s3, s4, counts, n: int, seed: int) -> SimReport:
-    mean = s1 / n
-    e2 = s2 / n
+        parts = [chunk(job) for job in jobs]
+    total = np.zeros(4 + n_outcomes)
+    for part in parts:
+        total += part
+    mean, e2, e3, e4 = total[:4] / n_samples
     var = max(e2 - mean * mean, 0.0)
     dev = math.sqrt(var)
-    se_mean = math.sqrt(var / n)
     # sampling error of the deviation via the fourth central moment
-    m4 = s4 / n - 4.0 * mean * (s3 / n) + 6.0 * mean * mean * e2 - 3.0 * mean ** 4
-    var_var = max(m4 - var * var, 0.0) / n
+    m4 = e4 - 4.0 * mean * e3 + 6.0 * mean * mean * e2 - 3.0 * mean ** 4
+    var_var = max(m4 - var * var, 0.0) / n_samples
     se_dev = math.sqrt(var_var) / (2.0 * dev) if dev > 1e-12 else 0.0
-    return SimReport(mean, dev, se_mean, se_dev,
-                     tuple(counts / n), n, seed)
+    return SimReport(mean, dev, math.sqrt(var / n_samples), se_dev,
+                     tuple(total[4:] / n_samples), n_samples, seed)
 
 
-def _sample_outcomes(p: np.ndarray, rng) -> np.ndarray:
-    cum = np.cumsum(p, axis=1)
-    r = rng.random(p.shape[0]) * cum[:, -1]
-    k = (r[:, None] > cum).sum(axis=1)
-    return np.minimum(k, p.shape[1] - 1)
+def _shots(kernel, n_runs: int, seed: int, fields) -> list[ProtocolRun]:
+    """One ProtocolRun per shot; `fields(inputs)` gives the columns of the
+    records' trailing fields (input_direction, input_amplitudes)."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    inputs, num, p = kernel(n_runs, rng)
+    k = _sample_outcomes(p, rng)
+    rows = np.arange(n_runs)
+    fid = num[rows, k] / p[rows, k]
+    return list(map(ProtocolRun, k.tolist(), fid.tolist(), *fields(inputs)))
 
 
-def _qubit_ops(shared: CorrelationTensor | StateFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Per-outcome forms of the qubit protocol, contracted once per state.
+def _qubit_kernel(shared: CorrelationTensor | StateFamily, dist: InputDistribution):
+    """Qubit protocol kernel; the operators are contracted once per state.
 
     For an input chi let z = chi x conj(chi), z[2i + j] = chi_i conj(chi_j).
     Outcome k then has probability p_k = chi^T P_k conj(chi) = Re(z . P_k)
@@ -189,11 +198,12 @@ def _qubit_ops(shared: CorrelationTensor | StateFamily) -> tuple[np.ndarray, np.
     projection BELL[k] and U_k = CORR[k].  Q_k and P_k are built from BELL,
     CORR and rho, not from the closed form.
 
-    Both are returned as real matmul operands on u = (Re z, Im z):
+    Both are evaluated as real matmuls on u = (Re z, Im z):
     num_k = u^T [[Re Q_k, Im Q_k], [-Im Q_k, Re Q_k]] u, stored as
     q_mat[:, 8k:8k + 8], and p = u @ p_mat.  Real operands keep the
     products off OpenBLAS's complex matmul: on an Intel Xeon, the numpy
-    row sums and cumsums that follow one ran about 10x slower.
+    row sums and cumsums that follow one ran about 10x slower.  The input
+    directions are the kernel's only draws.
     """
     rho4 = density_matrix(shared).reshape(2, 2, 2, 2)
     ra = np.einsum('abcb->ac', rho4)
@@ -203,26 +213,49 @@ def _qubit_ops(shared: CorrelationTensor | StateFamily) -> tuple[np.ndarray, np.
     blocks = np.block([[q.real, q.imag], [-q.imag, q.real]])
     q_mat = blocks.transpose(1, 0, 2).reshape(8, 32)
     p_mat = np.concatenate([p.real, -p.imag], axis=1).T
-    return q_mat, p_mat
+
+    def kernel(n: int, rng):
+        tp = sample_directions(dist, n, rng)
+        half = 0.5 * tp[:, 0]
+        chi = np.empty((n, 2), dtype=complex)
+        chi[:, 0] = np.cos(half)
+        chi[:, 1] = np.exp(1j * tp[:, 1]) * np.sin(half)
+        z = (chi[:, :, None] * chi.conj()[:, None, :]).reshape(n, 4)
+        u = np.concatenate([z.real, z.imag], axis=1)
+        num = np.einsum('nkq,nq->nk', (u @ q_mat).reshape(n, 4, 8), u)
+        return tp, num, u @ p_mat
+    return kernel
 
 
-def _qubit_kernel(q_mat: np.ndarray, p_mat: np.ndarray, dist: InputDistribution,
-                  n: int, rng):
-    """Per-input outcome probabilities p[n, k] and fidelity terms num[n, k].
+def _classical_kernel(dist: InputDistribution):
+    """Measure-and-prepare kernel: measure z, re-prepare the pole state |k>.
 
-    Evaluates the forms from `_qubit_ops` with one matmul each.  The input
-    directions are the only draws, so the generator stream is unchanged
-    from building the protocol operators afresh for every sample.
+    Outcome k has p_k = |<k|chi>|^2, (1 + u)/2 for |0> and (1 - u)/2 for
+    |1> with u = cos(theta); |k> has fidelity p_k, so num_k = p_k^2.
     """
-    tp = sample_directions(dist, n, rng)
-    half = 0.5 * tp[:, 0]
-    chi = np.empty((n, 2), dtype=complex)
-    chi[:, 0] = np.cos(half)
-    chi[:, 1] = np.exp(1j * tp[:, 1]) * np.sin(half)
-    z = (chi[:, :, None] * chi.conj()[:, None, :]).reshape(n, 4)
-    u = np.concatenate([z.real, z.imag], axis=1)
-    num = np.einsum('nkq,nq->nk', (u @ q_mat).reshape(n, 4, 8), u)
-    return tp, num, u @ p_mat
+    def kernel(n: int, rng):
+        tp = sample_directions(dist, n, rng)
+        u = np.cos(tp[:, 0])
+        # column-major: row sums of a row-major (n, 2) array are ~15x slower
+        p = np.array((0.5 * (1.0 + u), 0.5 * (1.0 - u))).T
+        return tp, p * p, p
+    return kernel
+
+
+def _qutrit_kernel(shared, theta4_max: float):
+    """Qutrit protocol kernel: Weyl outcome k has p_k = <x|W_k diag(w) W_k^dag|x>/3
+    and num_k = |<x|W_k diag(sqrt w) W_k^dag|x>|^2/3, w the Schmidt weights."""
+    weights = np.asarray(shared.weights())
+    m_ops = np.einsum('kij,j,klj->kil', WEYL, np.sqrt(weights), WEYL.conj())
+    p_ops = np.einsum('kij,j,klj->kil', WEYL, weights, WEYL.conj())
+
+    def kernel(n: int, rng):
+        amps = sample_qutrit_inputs(theta4_max, n, rng)
+        t = np.einsum('ni,kij,nj->nk', amps.conj(), m_ops, amps)
+        num = (t.real ** 2 + t.imag ** 2) / 3.0
+        p = np.einsum('ni,kij,nj->nk', amps.conj(), p_ops, amps).real / 3.0
+        return amps, num, p
+    return kernel
 
 
 def simulate_qubit(shared: CorrelationTensor | StateFamily, dist: InputDistribution,
@@ -234,34 +267,14 @@ def simulate_qubit(shared: CorrelationTensor | StateFamily, dist: InputDistribut
     sum_k p_k f_k, so `deviation` estimates the spread over inputs that
     the closed-form moments describe, not shot noise of outcomes.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    q_mat, p_mat = _qubit_ops(shared)
-
-    def worker(m: int, rng):
-        _, num, p = _qubit_kernel(q_mat, p_mat, dist, m, rng)
-        fbar = num.sum(axis=1)
-        k = _sample_outcomes(p, rng)
-        c = np.bincount(k, minlength=4).astype(float)
-        return (fbar.sum(), (fbar ** 2).sum(), (fbar ** 3).sum(),
-                (fbar ** 4).sum(), c)
-
-    parts = _run_chunks(worker, n_samples, seed, threads, 4)
-    return _finalize(*parts, n_samples, seed)
+    return _simulate(_qubit_kernel(shared, dist), 4, n_samples, seed, threads)
 
 
 def qubit_runs(shared: CorrelationTensor | StateFamily, dist: InputDistribution,
                n_runs: int, seed: int = 0) -> list[ProtocolRun]:
     """Shot-level records: sampled outcome and its conditional fidelity."""
-    q_mat, p_mat = _qubit_ops(shared)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    tp, num, p = _qubit_kernel(q_mat, p_mat, dist, n_runs, rng)
-    k = _sample_outcomes(p, rng)
-    rows = np.arange(n_runs)
-    fid = num[rows, k] / p[rows, k]
-    return [ProtocolRun(int(k[i]), float(fid[i]),
-                        input_direction=BlochDirection(float(tp[i, 0]), float(tp[i, 1])))
-            for i in range(n_runs)]
+    return _shots(_qubit_kernel(shared, dist), n_runs, seed,
+                  lambda tp: [map(BlochDirection, *tp.T.tolist())])
 
 
 def simulate_classical(dist: InputDistribution, n_samples: int, seed: int = 0,
@@ -271,66 +284,17 @@ def simulate_classical(dist: InputDistribution, n_samples: int, seed: int = 0,
     Per-input outcome-averaged fidelity is 1 - sin^2(theta)/2; outcome
     frequencies are the two z results.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-
-    def worker(m: int, rng):
-        tp = sample_directions(dist, m, rng)
-        u = np.cos(tp[:, 0])
-        fbar = 0.5 * (1.0 + u * u)
-        p0 = 0.5 * (1.0 + u)
-        k = (rng.random(m) >= p0).astype(int)
-        c = np.bincount(k, minlength=2).astype(float)
-        return (fbar.sum(), (fbar ** 2).sum(), (fbar ** 3).sum(),
-                (fbar ** 4).sum(), c)
-
-    parts = _run_chunks(worker, n_samples, seed, threads, 2)
-    return _finalize(*parts, n_samples, seed)
-
-
-def _qutrit_ops(weights: tuple[float, float, float]):
-    root = np.sqrt(np.asarray(weights))
-    m_ops = np.einsum('kij,j,klj->kil', WEYL, root, WEYL.conj())
-    p_ops = np.einsum('kij,j,klj->kil', WEYL, np.asarray(weights), WEYL.conj())
-    return m_ops, p_ops
-
-
-def _qutrit_kernel(m_ops, p_ops, theta4_max: float, n: int, rng):
-    amps = sample_qutrit_inputs(theta4_max, n, rng)
-    t = np.einsum('ni,kij,nj->nk', amps.conj(), m_ops, amps)
-    num = (t.real ** 2 + t.imag ** 2) / 3.0
-    p = np.einsum('ni,kij,nj->nk', amps.conj(), p_ops, amps).real / 3.0
-    return amps, num, p
+    return _simulate(_classical_kernel(dist), 2, n_samples, seed, threads)
 
 
 def simulate_qutrit(shared, theta4_max: float, n_samples: int, seed: int = 0,
                     threads: int | None = None) -> SimReport:
     """Simulate the qutrit protocol with a Weyl-operator measurement."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    m_ops, p_ops = _qutrit_ops(shared.weights())
-
-    def worker(m: int, rng):
-        _, num, p = _qutrit_kernel(m_ops, p_ops, theta4_max, m, rng)
-        fbar = num.sum(axis=1)
-        k = _sample_outcomes(p, rng)
-        c = np.bincount(k, minlength=9).astype(float)
-        return (fbar.sum(), (fbar ** 2).sum(), (fbar ** 3).sum(),
-                (fbar ** 4).sum(), c)
-
-    parts = _run_chunks(worker, n_samples, seed, threads, 9)
-    return _finalize(*parts, n_samples, seed)
+    return _simulate(_qutrit_kernel(shared, theta4_max), 9, n_samples, seed, threads)
 
 
 def qutrit_runs(shared, theta4_max: float, n_runs: int,
                 seed: int = 0) -> list[ProtocolRun]:
     """Shot-level qutrit records, one Weyl outcome per run."""
-    m_ops, p_ops = _qutrit_ops(shared.weights())
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    amps, num, p = _qutrit_kernel(m_ops, p_ops, theta4_max, n_runs, rng)
-    k = _sample_outcomes(p, rng)
-    rows = np.arange(n_runs)
-    fid = num[rows, k] / p[rows, k]
-    return [ProtocolRun(int(k[i]), float(fid[i]),
-                        input_amplitudes=tuple(amps[i]))
-            for i in range(n_runs)]
+    return _shots(_qutrit_kernel(shared, theta4_max), n_runs, seed,
+                  lambda amps: [repeat(None), zip(*amps.T.tolist())])

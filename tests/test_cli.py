@@ -32,7 +32,9 @@ class TestParseNumber:
     def test_accepts(self, text, expected):
         assert math.isclose(cli.parse_number(text), expected, rel_tol=1e-15)
 
-    @pytest.mark.parametrize("text", ["pi(", "import os", "x", "1;2"])
+    @pytest.mark.parametrize("text", ["pi(", "import os", "x", "1;2", "10**400",
+                                      "1e400", "(-8)**0.5", "-" * 5000 + "1"],
+                             ids=lambda text: text[:12])
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             cli.parse_number(text)
@@ -136,6 +138,14 @@ class TestQutritCommand:
             assert float(row[0]) + float(row[1]) <= 1.0
             assert float(row[4]) >= -1e-12
 
+    @pytest.mark.parametrize("points", [50, 7])
+    def test_grid_row_count(self, tmp_path, points):
+        # every grid point with a + b <= 1, the simplex diagonal included
+        code, path = run_cli(["qutrit", "--points", str(points)], tmp_path)
+        assert code == 0
+        _, rows = read_csv(path)
+        assert len(rows) == points * (points + 1) // 2
+
     def test_eta_mode(self, tmp_path):
         code, path = run_cli(["qutrit", "--eta", "--dim", "2", "--info",
                               "0.16", "--ensemble", "2000", "--seed", "0"],
@@ -176,3 +186,18 @@ class TestErrors:
                          "--dist", "uniform", "--out", "-"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--family", "pure", "--conc", "0.5", "--dist", "vmf",
+         "--grid", "0:10**400:3"],
+        ["qutrit", "--eta", "--dim", "3", "--n", "0"],
+        ["qutrit", "--eta", "--ensemble", "0"],
+        ["qutrit", "--points", "0"],
+    ], ids=["overflow", "n", "ensemble", "points"])
+    def test_bad_input_one_line_error(self, capsys, args):
+        code = cli.main(args + ["--out", "-"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1

@@ -113,6 +113,27 @@ class TestSubclassicalWarning:
             average_fidelity(PureSchmidt.from_concurrence(0.9), PolarCap(0.3))
 
 
+class TestFidelityStatsSingleEvaluation:
+    def test_tensor_and_moments_once_per_call(self, monkeypatch):
+        import telefid.fidelity as fid
+        calls = {}
+
+        def counted(name):
+            inner = getattr(fid, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args)
+            monkeypatch.setattr(fid, name, wrapper)
+
+        counted("cos_moments")
+        counted("correlation_tensor")
+        with pytest.warns(SubclassicalFidelityWarning) as record:
+            fidelity_stats(BellDiagonal((0.4, 0.3, 0.2, 0.1)), PolarCap(0.5))
+        assert calls == {"cos_moments": 1, "correlation_tensor": 1}
+        assert len(record) == 1
+
+
 class TestInformation:
     def test_cap_third(self):
         info = prior_information(PolarCap(math.pi / 3))

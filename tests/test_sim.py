@@ -8,7 +8,7 @@ from telefid.core import (BellDiagonal, CorrelationTensor, PolarCap, PureSchmidt
 from telefid.fidelity import classical_fidelity, fidelity_stats
 from telefid.qutrit import (QutritSharedState, qutrit_average_fidelity)
 from telefid.resources import bell_probabilities_averaged
-from telefid.sim import (BELL, CORR, _qubit_kernel, _qubit_ops, density_matrix,
+from telefid.sim import (BELL, CORR, _classical_kernel, _qubit_kernel, density_matrix,
                          qubit_runs, qutrit_runs, simulate_classical,
                          simulate_qubit, simulate_qutrit)
 
@@ -89,9 +89,7 @@ class TestKernelAgainstProtocolChain:
     ])
     @pytest.mark.parametrize("dist", [Uniform(), PolarCap(1.2)])
     def test_matches_explicit_chain(self, state, dist):
-        q_mat, p_mat = _qubit_ops(state)
-        tp, num, p = _qubit_kernel(q_mat, p_mat, dist, 64,
-                                   np.random.default_rng(29))
+        tp, num, p = _qubit_kernel(state, dist)(64, np.random.default_rng(29))
         rho = density_matrix(state)
         for n, (theta, phi) in enumerate(tp):
             chi = np.array([math.cos(theta / 2),
@@ -102,6 +100,28 @@ class TestKernelAgainstProtocolChain:
         assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
 
 
+class TestClassicalKernelAgainstProtocolChain:
+    """The measure-and-prepare kernel reproduces the protocol run per input."""
+
+    @pytest.mark.parametrize("dist", [Uniform(), PolarCap(0.8), VonMisesFisher(4.0)])
+    def test_matches_explicit_chain(self, dist):
+        tp, num, p = _classical_kernel(dist)(64, np.random.default_rng(31))
+        basis = np.eye(2)
+        for n, (theta, phi) in enumerate(tp):
+            chi = np.array([math.cos(theta / 2),
+                            np.exp(1j * phi) * math.sin(theta / 2)])
+            rho = np.outer(chi, chi.conj())
+            for k, ket in enumerate(basis):
+                # measure z with projector |k><k|, then re-prepare |k>
+                proj = np.outer(ket, ket)
+                p_ref = np.trace(proj @ rho).real
+                out = p_ref * proj
+                num_ref = (chi.conj() @ out @ chi).real
+                assert abs(p[n, k] - p_ref) <= 1e-14
+                assert abs(num[n, k] - num_ref) <= 1e-14
+        assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+
+
 class TestDeterminism:
     def test_same_seed_same_report(self):
         args = (PureSchmidt.from_concurrence(0.6), PolarCap(1.5), 20000, 9)
@@ -109,10 +129,14 @@ class TestDeterminism:
         r2 = simulate_qubit(*args)
         assert r1 == r2
 
-    def test_thread_count_invariance(self):
-        fam = BellDiagonal((0.55, 0.25, 0.12, 0.08))
-        base = simulate_qubit(fam, VonMisesFisher(2.0), 300000, 3, threads=1)
-        multi = simulate_qubit(fam, VonMisesFisher(2.0), 300000, 3, threads=4)
+    @pytest.mark.parametrize("simulate,args", [
+        (simulate_qubit, (BellDiagonal((0.55, 0.25, 0.12, 0.08)), VonMisesFisher(2.0))),
+        (simulate_classical, (VonMisesFisher(2.0),)),
+        (simulate_qutrit, (QutritSharedState(0.5, 0.3), 1.0)),
+    ], ids=["qubit", "classical", "qutrit"])
+    def test_thread_count_invariance(self, simulate, args):
+        base = simulate(*args, 300000, 3, threads=1)
+        multi = simulate(*args, 300000, 3, threads=4)
         assert base == multi
 
 
