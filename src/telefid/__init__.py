@@ -5,8 +5,7 @@ from .core import (BellDiagonal, BlochDirection, CorrelationTensor, EstimatorRep
                    StateFamily, Uniform, VonMisesFisher, Werner, concurrence,
                    correlation_tensor)
 from .distributions import (cos_moments, density, mean_polar_angle,
-                            qutrit_cap_volume, sample, sample_directions,
-                            sample_qutrit_input, sample_qutrit_inputs,
+                            sample_directions, sample_qutrit_inputs,
                             spread_moments)
 from .fidelity import (InfoMeasure, SubclassicalFidelityWarning, average_fidelity,
                        bd_rank3_threshold, classical_fidelity,
@@ -41,11 +40,11 @@ __all__ = [
     "fidelity_second_moment", "fidelity_stats", "is_nonclassical",
     "match_by_classical_fidelity", "match_by_mean_angle", "mean_polar_angle",
     "participation_moment", "pointwise_fidelity", "prior_information",
-    "qubit_runs", "qutrit_average_fidelity", "qutrit_cap_volume",
+    "qubit_runs", "qutrit_average_fidelity",
     "qutrit_classical_fidelity", "qutrit_pointwise_fidelity",
     "qutrit_prior_information", "qutrit_runs", "required_entanglement",
-    "run_check", "run_verification", "sample", "sample_directions",
-    "sample_qutrit_input", "sample_qutrit_inputs", "simulate_classical",
+    "run_check", "run_verification", "sample_directions",
+    "sample_qutrit_inputs", "simulate_classical",
     "simulate_qubit", "simulate_qutrit", "spread_moments", "sweep_comparison",
     "theta4_for_fractional_info", "werner_threshold", "CHECK_NAMES",
     "__version__",

@@ -3,12 +3,16 @@
 The central objects are the diagonal correlation tensor of a two-qubit
 resource state, the Bloch-sphere direction of the input state, the input
 distribution over those directions, and the standard two-qubit state
-families (pure Schmidt-form, Werner, Bell-diagonal).
+families (pure Schmidt-form, Werner, Bell-diagonal).  Each family computes
+its own concurrence and correlation tensor.  The input distributions live
+in `distributions`, next to their math, and are re-exported here.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from .distributions import InputDistribution, PolarCap, Uniform, VonMisesFisher
 
 _TOL = 1e-9
 
@@ -34,6 +38,9 @@ class CorrelationTensor:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.t1, self.t2, self.t3)
 
+    def correlation_tensor(self) -> "CorrelationTensor":
+        return self
+
 
 @dataclass(frozen=True)
 class BlochDirection:
@@ -53,47 +60,11 @@ class BlochDirection:
         return (st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta))
 
 
-class InputDistribution:
-    """Base tag for distributions of input directions (phi always uniform)."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Uniform(InputDistribution):
-    """Haar-uniform input directions over the full sphere."""
-
-
-@dataclass(frozen=True)
-class PolarCap(InputDistribution):
-    """Uniform density restricted to the cap theta <= theta0, theta0 in (0, pi].
-
-    PolarCap(pi) is the uniform sphere.
-    """
-
-    theta0: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.theta0 <= math.pi:
-            raise ValueError(f"theta0={self.theta0!r} outside (0, pi]")
-
-
-@dataclass(frozen=True)
-class VonMisesFisher(InputDistribution):
-    """von Mises-Fisher density ~ exp(kappa cos theta) about the north pole.
-
-    kappa >= 0; kappa = 0 is the uniform sphere.
-    """
-
-    kappa: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
-            raise ValueError(f"kappa={self.kappa!r} must be finite and >= 0")
-
-
 class StateFamily:
-    """Base tag for the supported two-qubit resource families."""
+    """Base for the supported two-qubit resource families.
+
+    Subclasses supply concurrence() and correlation_tensor().
+    """
 
     __slots__ = ()
 
@@ -117,6 +88,13 @@ class PureSchmidt(StateFamily):
             raise ValueError(f"concurrence {c!r} outside [0, 1]")
         return cls(0.5 * (1.0 - math.sqrt(1.0 - c * c)))
 
+    def concurrence(self) -> float:
+        return 2.0 * math.sqrt(self.alpha * (1.0 - self.alpha))
+
+    def correlation_tensor(self) -> CorrelationTensor:
+        c = self.concurrence()
+        return CorrelationTensor(-c, -c, -1.0)
+
 
 @dataclass(frozen=True)
 class Werner(StateFamily):
@@ -127,6 +105,12 @@ class Werner(StateFamily):
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p={self.p!r} outside [0, 1]")
+
+    def concurrence(self) -> float:
+        return max(0.0, (3.0 * self.p - 1.0) / 2.0)
+
+    def correlation_tensor(self) -> CorrelationTensor:
+        return CorrelationTensor(-self.p, -self.p, -self.p)
 
 
 @dataclass(frozen=True, init=False)
@@ -155,6 +139,16 @@ class BellDiagonal(StateFamily):
     def rank3(cls, p: float, q: float) -> "BellDiagonal":
         """Three-Bell-state mixture with weights (p, q, 1-p-q, 0)."""
         return cls((p, q, 1.0 - p - q, 0.0))
+
+    def concurrence(self) -> float:
+        return max(0.0, 2.0 * self.weights[0] - 1.0)
+
+    def correlation_tensor(self) -> CorrelationTensor:
+        # Bell tensors: psi- = -(1,1,1), psi+ = (1,1,-1), phi+ = (1,-1,1),
+        # phi- = (-1,1,1); weights attach in that order.
+        w1, w2, w3, w4 = self.weights
+        return CorrelationTensor(-w1 + w2 + w3 - w4, -w1 + w2 - w3 + w4,
+                                 -w1 - w2 + w3 + w4)
 
 
 @dataclass(frozen=True)
@@ -185,28 +179,12 @@ class EstimatorReport:
 
 def concurrence(family: StateFamily) -> float:
     """Concurrence of a state from one of the supported families."""
-    if isinstance(family, PureSchmidt):
-        return 2.0 * math.sqrt(family.alpha * (1.0 - family.alpha))
-    if isinstance(family, Werner):
-        return max(0.0, (3.0 * family.p - 1.0) / 2.0)
-    if isinstance(family, BellDiagonal):
-        return max(0.0, 2.0 * family.weights[0] - 1.0)
-    raise TypeError(f"unsupported state family: {family!r}")
+    return family.concurrence()
 
 
 def correlation_tensor(family: StateFamily) -> CorrelationTensor:
-    """Diagonal correlation tensor of a state from one of the supported families."""
-    if isinstance(family, PureSchmidt):
-        c = concurrence(family)
-        return CorrelationTensor(-c, -c, -1.0)
-    if isinstance(family, Werner):
-        return CorrelationTensor(-family.p, -family.p, -family.p)
-    if isinstance(family, BellDiagonal):
-        # Bell tensors: psi- = -(1,1,1), psi+ = (1,1,-1), phi+ = (1,-1,1),
-        # phi- = (-1,1,1); weights attach in that order.
-        w1, w2, w3, w4 = family.weights
-        t1 = -w1 + w2 + w3 - w4
-        t2 = -w1 + w2 - w3 + w4
-        t3 = -w1 - w2 + w3 + w4
-        return CorrelationTensor(t1, t2, t3)
-    raise TypeError(f"unsupported state family: {family!r}")
+    """Diagonal correlation tensor of a state from one of the supported families.
+
+    A bare CorrelationTensor is returned as it is.
+    """
+    return family.correlation_tensor()

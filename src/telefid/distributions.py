@@ -1,9 +1,12 @@
-"""Densities, cosine moments and samplers for the input distributions.
+"""Input distributions over Bloch directions, with their densities,
+cosine moments and samplers.
 
 Everything downstream (average fidelity, deviations, thresholds, resource
 costs) reduces to the first four moments of cos(theta) under the input
-density, so those moments are computed here once, in closed form, with
-numerically stable branches.
+density.  Each distribution class computes those moments itself, in
+closed form with numerically stable branches, next to its density, mean
+polar angle and sampler; the module functions are the public entry points
+and call into the class.  Uniform is the kappa = 0 von Mises-Fisher.
 
 Also hosts the qutrit input measure: the unit sphere S^5 in hyperspherical
 coordinates (phi, theta1..theta4) with volume element
@@ -13,20 +16,14 @@ optionally restricted to theta4 <= theta4_max.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.integrate import quad
 
-from .core import (
-    BlochDirection,
-    InputDistribution,
-    PolarCap,
-    Uniform,
-    VonMisesFisher,
-)
-
-_UNIFORM_MOMENTS = (1.0, 0.0, 1.0 / 3.0, 0.0, 1.0 / 5.0)
+if TYPE_CHECKING:
+    from .core import BlochDirection
 
 # Upward recursion m_k = coth(k) - k m_{k-1}/kappa ... loses up to 8 digits
 # below kappa ~ 0.25 through cancellation, so a 12th-order series takes over
@@ -52,80 +49,116 @@ def _coth(x: float) -> float:
     return 1.0 + 2.0 / math.expm1(2.0 * x)
 
 
-def _vmf_cos_moments(kappa: float) -> tuple[float, ...]:
-    if kappa == 0.0:
-        return _UNIFORM_MOMENTS
-    if kappa < _SERIES_CROSSOVER:
-        k2 = kappa * kappa
-        m1 = kappa * (1 / 3 + k2 * (-1 / 45 + k2 * (2 / 945 + k2 * (
-            -1 / 4725 + k2 * (2 / 93555 + k2 * (-1382 / 638512875))))))
-        m2 = 1 / 3 + k2 * (2 / 45 + k2 * (-4 / 945 + k2 * (2 / 4725 + k2 * (
-            -4 / 93555 + k2 * (2764 / 638512875 + k2 * (-8 / 18243225))))))
-        m3 = kappa * (1 / 5 + k2 * (-1 / 105 + k2 * (4 / 4725 + k2 * (
-            -13 / 155925 + k2 * (1786 / 212837625 + k2 * (-542 / 638512875))))))
-        m4 = 1 / 5 + k2 * (4 / 105 + k2 * (-16 / 4725 + k2 * (52 / 155925 + k2 * (
-            -7144 / 212837625 + k2 * (2168 / 638512875 + k2 * (-18664 / 54273594375))))))
-        return (1.0, m1, m2, m3, m4)
-    c = _coth(kappa)
-    m1 = c - 1.0 / kappa
-    m2 = 1.0 - 2.0 * m1 / kappa
-    m3 = c - 3.0 * m2 / kappa
-    m4 = 1.0 - 4.0 * m3 / kappa
-    return (1.0, m1, m2, m3, m4)
-
-
 def _cap_one_minus_cos(theta0: float) -> float:
     # 1 - cos(theta0) without cancellation at small theta0
     s = math.sin(0.5 * theta0)
     return 2.0 * s * s
 
 
-def _cap_cos_moments(theta0: float) -> tuple[float, ...]:
-    # cos(theta) is uniform on [cos(theta0), 1]:
-    # m_k = (1 - c^{k+1}) / ((k+1)(1-c))
-    c = math.cos(theta0)
-    d = _cap_one_minus_cos(theta0)
-    out = [1.0]
-    if c < 0.9:
-        for k in range(1, 5):
-            out.append((1.0 - c ** (k + 1)) / ((k + 1) * d))
-    else:
-        # 1 - c^{k+1} = -expm1((k+1) log1p(-d)), stable as theta0 -> 0
-        l = math.log1p(-d)
-        for k in range(1, 5):
-            out.append(-math.expm1((k + 1) * l) / ((k + 1) * d))
-    return tuple(out)
+class InputDistribution:
+    """Base for distributions of input directions (phi always uniform).
 
-
-def cos_moments(dist: InputDistribution) -> MomentTable:
-    """First four moments of cos(theta); m0 = 1 always."""
-    if isinstance(dist, Uniform):
-        return MomentTable(_UNIFORM_MOMENTS)
-    if isinstance(dist, PolarCap):
-        return MomentTable(_cap_cos_moments(dist.theta0))
-    if isinstance(dist, VonMisesFisher):
-        return MomentTable(_vmf_cos_moments(dist.kappa))
-    raise TypeError(f"unsupported distribution: {dist!r}")
-
-
-def spread_moments(dist: InputDistribution) -> tuple[float, float]:
-    """(Var(cos^2 theta), <sin^4 theta>) in cancellation-free forms.
-
-    Both quantities vanish like theta0^4 (resp. 1/kappa^2) as the
-    distribution concentrates, so forming them from cos_moments loses
-    most significant digits there; these closed forms do not.
+    Subclasses supply cos_moments(), spread_moments(), density(theta),
+    mean_polar_angle(), cos_inverse_cdf(v) and label().
     """
-    if isinstance(dist, Uniform):
-        return (4.0 / 45.0, 8.0 / 15.0)
-    if isinstance(dist, PolarCap):
-        c = math.cos(dist.theta0)
-        d = _cap_one_minus_cos(dist.theta0)
+
+    __slots__ = ()
+
+
+@dataclass(frozen=True)
+class PolarCap(InputDistribution):
+    """Uniform density restricted to the cap theta <= theta0, theta0 in (0, pi].
+
+    PolarCap(pi) is the uniform sphere.
+    """
+
+    theta0: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.theta0 <= math.pi:
+            raise ValueError(f"theta0={self.theta0!r} outside (0, pi]")
+
+    def cos_moments(self) -> MomentTable:
+        # cos(theta) is uniform on [cos(theta0), 1]:
+        # m_k = (1 - c^{k+1}) / ((k+1)(1-c))
+        c = math.cos(self.theta0)
+        d = _cap_one_minus_cos(self.theta0)
+        out = [1.0]
+        if c < 0.9:
+            for k in range(1, 5):
+                out.append((1.0 - c ** (k + 1)) / ((k + 1) * d))
+        else:
+            # 1 - c^{k+1} = -expm1((k+1) log1p(-d)), stable as theta0 -> 0
+            l = math.log1p(-d)
+            for k in range(1, 5):
+                out.append(-math.expm1((k + 1) * l) / ((k + 1) * d))
+        return MomentTable(tuple(out))
+
+    def spread_moments(self) -> tuple[float, float]:
+        c = math.cos(self.theta0)
+        d = _cap_one_minus_cos(self.theta0)
         return (d * d * (4.0 * c * c + 7.0 * c + 4.0) / 45.0,
                 d * d * (3.0 * c * c + 9.0 * c + 8.0) / 15.0)
-    if isinstance(dist, VonMisesFisher):
-        k = dist.kappa
-        if k == 0.0:
-            return (4.0 / 45.0, 8.0 / 15.0)
+
+    def density(self, theta: float) -> float:
+        if theta > self.theta0:
+            return 0.0
+        return 1.0 / (2.0 * math.pi * _cap_one_minus_cos(self.theta0))
+
+    def mean_polar_angle(self) -> float:
+        t0 = self.theta0
+        if t0 < 1e-2:
+            # (sin t - t cos t)/(1 - cos t) loses digits near 0
+            t2 = t0 * t0
+            return t0 * (2 / 3 - t2 * (1 / 90 + t2 * (1 / 2520 + t2 * (
+                1 / 75600 + t2 / 2395008))))
+        return (math.sin(t0) - t0 * math.cos(t0)) / _cap_one_minus_cos(t0)
+
+    def cos_inverse_cdf(self, v: np.ndarray) -> np.ndarray:
+        u = 1.0 - v * _cap_one_minus_cos(self.theta0)
+        np.clip(u, math.cos(self.theta0), 1.0, out=u)
+        return u
+
+    def label(self) -> str:
+        return f"cap({self.theta0:g})"
+
+
+@dataclass(frozen=True)
+class VonMisesFisher(InputDistribution):
+    """von Mises-Fisher density ~ exp(kappa cos theta) about the north pole.
+
+    kappa >= 0; kappa = 0 is the uniform sphere.
+    """
+
+    kappa: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
+            raise ValueError(f"kappa={self.kappa!r} must be finite and >= 0")
+
+    def cos_moments(self) -> MomentTable:
+        kappa = self.kappa
+        if kappa < _SERIES_CROSSOVER:
+            # at kappa = 0 this is exactly the uniform (1, 0, 1/3, 0, 1/5)
+            k2 = kappa * kappa
+            m1 = kappa * (1 / 3 + k2 * (-1 / 45 + k2 * (2 / 945 + k2 * (
+                -1 / 4725 + k2 * (2 / 93555 + k2 * (-1382 / 638512875))))))
+            m2 = 1 / 3 + k2 * (2 / 45 + k2 * (-4 / 945 + k2 * (2 / 4725 + k2 * (
+                -4 / 93555 + k2 * (2764 / 638512875 + k2 * (-8 / 18243225))))))
+            m3 = kappa * (1 / 5 + k2 * (-1 / 105 + k2 * (4 / 4725 + k2 * (
+                -13 / 155925 + k2 * (1786 / 212837625 + k2 * (-542 / 638512875))))))
+            m4 = 1 / 5 + k2 * (4 / 105 + k2 * (-16 / 4725 + k2 * (52 / 155925 + k2 * (
+                -7144 / 212837625 + k2 * (2168 / 638512875 + k2 * (-18664 / 54273594375))))))
+            return MomentTable((1.0, m1, m2, m3, m4))
+        c = _coth(kappa)
+        m1 = c - 1.0 / kappa
+        m2 = 1.0 - 2.0 * m1 / kappa
+        m3 = c - 3.0 * m2 / kappa
+        m4 = 1.0 - 4.0 * m3 / kappa
+        return MomentTable((1.0, m1, m2, m3, m4))
+
+    def spread_moments(self) -> tuple[float, float]:
+        k = self.kappa
         if k < _SERIES_CROSSOVER:
             k2 = k * k
             v = 4 / 45 + k2 * (8 / 945 + k2 * (-4 / 1575 + k2 * (8 / 18711 + k2 * (
@@ -133,44 +166,20 @@ def spread_moments(dist: InputDistribution) -> tuple[float, float]:
             s = 8 / 15 + k2 * (-16 / 315 + k2 * (8 / 1575 + k2 * (-16 / 31185 + k2 * (
                 11056 / 212837625 + k2 * (-32 / 6081075 + k2 * (28936 / 54273594375))))))
             return (v, s)
-        m = _vmf_cos_moments(k)
+        m = self.cos_moments()
         v = 4.0 * (3.0 * m[2] - 1.0 - m[1] * m[1]) / (k * k)
         return (max(v, 0.0), 1.0 - 2.0 * m[2] + m[4])
-    raise TypeError(f"unsupported distribution: {dist!r}")
 
-
-def density(dist: InputDistribution, direction: BlochDirection) -> float:
-    """Probability density per unit solid angle at the given direction."""
-    if isinstance(dist, Uniform):
-        return 1.0 / (4.0 * math.pi)
-    if isinstance(dist, PolarCap):
-        if direction.theta > dist.theta0:
-            return 0.0
-        return 1.0 / (2.0 * math.pi * _cap_one_minus_cos(dist.theta0))
-    if isinstance(dist, VonMisesFisher):
-        k = dist.kappa
+    def density(self, theta: float) -> float:
+        k = self.kappa
         if k == 0.0:
             return 1.0 / (4.0 * math.pi)
         # kappa e^{kappa cos} / (4 pi sinh kappa), written to survive large kappa
-        return k * math.exp(k * (math.cos(direction.theta) - 1.0)) / (
+        return k * math.exp(k * (math.cos(theta) - 1.0)) / (
             2.0 * math.pi * -math.expm1(-2.0 * k))
-    raise TypeError(f"unsupported distribution: {dist!r}")
 
-
-def mean_polar_angle(dist: InputDistribution) -> float:
-    """<theta> under the input distribution.  pi/2 for the uniform sphere."""
-    if isinstance(dist, Uniform):
-        return 0.5 * math.pi
-    if isinstance(dist, PolarCap):
-        t0 = dist.theta0
-        if t0 < 1e-2:
-            # (sin t - t cos t)/(1 - cos t) loses digits near 0
-            t2 = t0 * t0
-            return t0 * (2 / 3 - t2 * (1 / 90 + t2 * (1 / 2520 + t2 * (
-                1 / 75600 + t2 / 2395008))))
-        return (math.sin(t0) - t0 * math.cos(t0)) / _cap_one_minus_cos(t0)
-    if isinstance(dist, VonMisesFisher):
-        k = dist.kappa
+    def mean_polar_angle(self) -> float:
+        k = self.kappa
         if k == 0.0:
             return 0.5 * math.pi
         # integrate in theta; the weight e^{kappa(cos-1)} stays in [0,1]
@@ -182,7 +191,53 @@ def mean_polar_angle(dist: InputDistribution) -> float:
             num += quad(lambda th: th * w(th), cut, math.pi, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
             den += quad(w, cut, math.pi, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
         return num / den
-    raise TypeError(f"unsupported distribution: {dist!r}")
+
+    def cos_inverse_cdf(self, v: np.ndarray) -> np.ndarray:
+        k = self.kappa
+        if k == 0.0:
+            return 1.0 - 2.0 * v
+        # invert P(U >= u): u = 1 + log(1 - v (1 - e^{-2k})) / k
+        u = 1.0 + np.log1p(v * math.expm1(-2.0 * k)) / k
+        np.clip(u, -1.0, 1.0, out=u)
+        return u
+
+    def label(self) -> str:
+        return f"vmf({self.kappa:g})"
+
+
+@dataclass(frozen=True)
+class Uniform(VonMisesFisher):
+    """Haar-uniform input directions over the full sphere: the kappa = 0 vMF."""
+
+    kappa: float = field(default=0.0, init=False, repr=False)
+
+    def label(self) -> str:
+        return "uniform"
+
+
+def cos_moments(dist: InputDistribution) -> MomentTable:
+    """First four moments of cos(theta); m0 = 1 always."""
+    return dist.cos_moments()
+
+
+def spread_moments(dist: InputDistribution) -> tuple[float, float]:
+    """(Var(cos^2 theta), <sin^4 theta>) in cancellation-free forms.
+
+    Both quantities vanish like theta0^4 (resp. 1/kappa^2) as the
+    distribution concentrates, so forming them from cos_moments loses
+    most significant digits there; these closed forms do not.
+    """
+    return dist.spread_moments()
+
+
+def density(dist: InputDistribution, direction: BlochDirection) -> float:
+    """Probability density per unit solid angle at the given direction."""
+    return dist.density(direction.theta)
+
+
+def mean_polar_angle(dist: InputDistribution) -> float:
+    """<theta> under the input distribution.  pi/2 for the uniform sphere."""
+    return dist.mean_polar_angle()
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
@@ -198,32 +253,9 @@ def sample_directions(dist: InputDistribution, n: int, rng) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be >= 0")
     gen = _as_rng(rng)
-    v = gen.random(n)
-    if isinstance(dist, Uniform):
-        u = 1.0 - 2.0 * v
-    elif isinstance(dist, PolarCap):
-        c = math.cos(dist.theta0)
-        u = 1.0 - v * _cap_one_minus_cos(dist.theta0)
-        np.clip(u, c, 1.0, out=u)
-    elif isinstance(dist, VonMisesFisher):
-        k = dist.kappa
-        if k == 0.0:
-            u = 1.0 - 2.0 * v
-        else:
-            # invert P(U >= u): u = 1 + log(1 - v (1 - e^{-2k})) / k
-            u = 1.0 + np.log1p(v * math.expm1(-2.0 * k)) / k
-            np.clip(u, -1.0, 1.0, out=u)
-    else:
-        raise TypeError(f"unsupported distribution: {dist!r}")
-    theta = np.arccos(u)
+    theta = np.arccos(dist.cos_inverse_cdf(gen.random(n)))
     phi = gen.random(n) * (2.0 * math.pi)
     return np.column_stack((theta, phi))
-
-
-def sample(dist: InputDistribution, rng) -> BlochDirection:
-    """One input direction."""
-    th, ph = sample_directions(dist, 1, rng)[0]
-    return BlochDirection(float(th), float(ph))
 
 
 ##### qutrit input manifold #####
@@ -238,9 +270,6 @@ def _sin_power_cdf_antideriv(k: int, theta):
     if k == 4:
         return 0.375 * theta - 0.25 * np.sin(2.0 * theta) + np.sin(4.0 * theta) / 32.0
     raise ValueError(k)
-
-
-_SIN_POWER_NORM = {2: math.pi / 2.0, 3: 4.0 / 3.0, 4: 3.0 * math.pi / 8.0}
 
 
 def _invert_sin_power_cdf(k: int, targets: np.ndarray, hi: float) -> np.ndarray:
@@ -293,17 +322,3 @@ def sample_qutrit_inputs(theta4_max: float, n: int, rng) -> np.ndarray:
     out[:, 1] = y
     out[:, 2] = z
     return out
-
-
-def sample_qutrit_input(theta4_max: float, rng) -> np.ndarray:
-    """One qutrit input state, shape (3,) complex."""
-    return sample_qutrit_inputs(theta4_max, 1, rng)[0]
-
-
-def qutrit_cap_volume(theta4_max: float) -> float:
-    """Volume of the restricted S^5 chart; pi^3 at theta4_max = pi."""
-    if not 0.0 < theta4_max <= math.pi:
-        raise ValueError(f"theta4_max={theta4_max!r} outside (0, pi]")
-    s4 = float(_sin_power_cdf_antideriv(4, np.asarray(theta4_max)))
-    # 2pi (phi) * 2 (sin) * pi/2 (sin^2) * 4/3 (sin^3) * integral of sin^4
-    return 2.0 * math.pi * 2.0 * (math.pi / 2.0) * (4.0 / 3.0) * s4

@@ -15,11 +15,9 @@ from dataclasses import dataclass
 
 from .core import (
     BlochDirection,
-    CorrelationTensor,
     FidelityStats,
     InputDistribution,
     PolarCap,
-    StateFamily,
     correlation_tensor,
 )
 from .distributions import cos_moments, spread_moments
@@ -51,11 +49,7 @@ class InfoMeasure:
 
 
 def _components(state) -> tuple[float, float, float]:
-    if isinstance(state, CorrelationTensor):
-        return state.as_tuple()
-    if isinstance(state, StateFamily):
-        return correlation_tensor(state).as_tuple()
-    raise TypeError(f"expected CorrelationTensor or StateFamily, got {state!r}")
+    return correlation_tensor(state).as_tuple()
 
 
 def pointwise_fidelity(state, direction: BlochDirection) -> float:
@@ -66,10 +60,14 @@ def pointwise_fidelity(state, direction: BlochDirection) -> float:
 
 
 def classical_fidelity(dist: InputDistribution) -> float:
-    """Best measure-and-prepare average fidelity: 1 - <sin^2 theta>/2.
+    """The paper's classical benchmark F_cl = 1 - <sin^2 theta>/2.
 
-    Realized by measuring the input along z and re-preparing the observed
-    pole state; the nonclassicality benchmark for the ensemble.
+    F_cl is the average fidelity of measuring the input along z and
+    re-preparing the observed pole state.  It is not the best fidelity
+    without entanglement for a non-uniform ensemble: always preparing |0>
+    gives (1 + <cos theta>)/2, which is 0.875 for the cap theta0 = pi/3
+    against F_cl = 19/24.  For the uniform sphere F_cl = 2/3 is the
+    measure-and-prepare optimum.
     """
     m2 = cos_moments(dist)[2]
     return 0.5 * (1.0 + m2)
@@ -155,7 +153,11 @@ def prior_information(dist: InputDistribution) -> InfoMeasure:
 
 
 def is_nonclassical(fidelity_value: float, dist: InputDistribution) -> bool:
-    """Strictly beats every entanglement-free strategy for this ensemble?"""
+    """Strictly above the z-measure-and-reprepare benchmark F_cl?
+
+    For a non-uniform ensemble this does not imply beating every
+    entanglement-free strategy; see classical_fidelity.
+    """
     return fidelity_value > classical_fidelity(dist)
 
 

@@ -52,22 +52,30 @@ def _check(name):
 
 # ---------------------------------------------------------------- quadrature
 
-def _polar_window(dist: InputDistribution) -> tuple[float, float]:
-    """Support of cos(theta) to integrate over (vMF tail cut below e^-40)."""
+def _oracle_shape(dist: InputDistribution) -> tuple[float, float]:
+    """(a, kappa): the density in u = cos(theta) is proportional to
+    e^{kappa (u - 1)} on [a, 1].
+
+    Written out here, not taken from the distribution's own methods, so
+    that the quadrature stays an independent route (vMF tail cut below
+    e^-40; Uniform is the kappa = 0 vMF).
+    """
     if isinstance(dist, PolarCap):
-        return math.cos(dist.theta0), 1.0
-    if isinstance(dist, VonMisesFisher) and dist.kappa > 1.0:
-        return max(-1.0, 1.0 - 40.0 / dist.kappa), 1.0
-    return -1.0, 1.0
+        return math.cos(dist.theta0), 0.0
+    if isinstance(dist, VonMisesFisher):
+        k = dist.kappa
+        return (max(-1.0, 1.0 - 40.0 / k) if k > 1.0 else -1.0), k
+    raise TypeError(f"no quadrature oracle for {dist!r}")
 
 
 def _polar_nodes(dist: InputDistribution, order: int = 96):
     """Gauss-Legendre nodes in u = cos(theta) with normalized weights."""
-    a, b = _polar_window(dist)
+    a, kappa = _oracle_shape(dist)
+    b = 1.0
     x, w = np.polynomial.legendre.leggauss(order)
     u = 0.5 * (a + b) + 0.5 * (b - a) * x
-    if isinstance(dist, VonMisesFisher) and dist.kappa > 0.0:
-        w = w * np.exp(dist.kappa * (u - 1.0))
+    if kappa > 0.0:
+        w = w * np.exp(kappa * (u - 1.0))
     return u, w / w.sum()
 
 
@@ -81,19 +89,11 @@ _DIST_GRID = (
 )
 
 
-def _dist_label(dist: InputDistribution) -> str:
-    if isinstance(dist, PolarCap):
-        return f"cap({dist.theta0:g})"
-    if isinstance(dist, VonMisesFisher):
-        return f"vmf({dist.kappa:g})"
-    return "uniform"
-
-
 @_check("density-normalization")
 def _check_density_norm(seed: int, quick: bool):
     worst, where = 0.0, ""
     for dist in _DIST_GRID:
-        a, b = _polar_window(dist)
+        a, b = _oracle_shape(dist)[0], 1.0
         x, w = np.polynomial.legendre.leggauss(96)
         u = 0.5 * (a + b) + 0.5 * (b - a) * x
         w = 0.5 * (b - a) * w
@@ -101,7 +101,7 @@ def _check_density_norm(seed: int, quick: bool):
                          for ui in u])
         total = 2.0 * math.pi * float((w * vals).sum())
         if abs(total - 1.0) > worst:
-            worst, where = abs(total - 1.0), _dist_label(dist)
+            worst, where = abs(total - 1.0), dist.label()
     return worst <= 1e-10, f"max |integral - 1| = {worst:.3e} at {where}"
 
 
@@ -118,7 +118,7 @@ def _check_cos_moments(seed: int, quick: bool):
         err = max(err, abs(float((w * u ** 4).sum()) - q2 * q2 - v2c),
                   abs(float((w * (1.0 - u ** 2) ** 2).sum()) - s4))
         if err > worst:
-            worst, where = err, _dist_label(dist)
+            worst, where = err, dist.label()
     return worst <= 1e-10, f"max moment residual = {worst:.3e} at {where}"
 
 
@@ -129,17 +129,17 @@ def _check_mean_angle(seed: int, quick: bool):
     worst, where = 0.0, ""
     x, w = np.polynomial.legendre.leggauss(160)
     for dist in _DIST_GRID:
-        a, _ = _polar_window(dist)
+        a, kappa = _oracle_shape(dist)
         hi = math.acos(max(-1.0, a))
         th = 0.5 * hi * (x + 1.0)
         shape = np.sin(th)
-        if isinstance(dist, VonMisesFisher) and dist.kappa > 0.0:
-            shape = shape * np.exp(dist.kappa * (np.cos(th) - 1.0))
+        if kappa > 0.0:
+            shape = shape * np.exp(kappa * (np.cos(th) - 1.0))
         wq = w * shape
         quad = float((wq * th).sum() / wq.sum())
         err = abs(quad - mean_polar_angle(dist))
         if err > worst:
-            worst, where = err, _dist_label(dist)
+            worst, where = err, dist.label()
     return worst <= 1e-9, f"max <theta> residual = {worst:.3e} at {where}"
 
 
@@ -264,19 +264,19 @@ def _check_resources(seed: int, quick: bool):
         below = [required_entanglement(ct, dist)
                  for ct in np.linspace(0.0, max(0.0, c_star - 1e-6), 8)]
         if any(v != 0.0 for v in below):
-            issues.append(f"nonzero below sufficiency at {_dist_label(dist)}")
+            issues.append(f"nonzero below sufficiency at {dist.label()}")
         above = [required_entanglement(ct, dist)
                  for ct in np.linspace(min(1.0, c_star + 1e-6), 1.0, 8)]
         if any(not 0.0 < v <= 1.0 for v in above) or any(
                 b > a for b, a in zip(above, above[1:])):
-            issues.append(f"not increasing above sufficiency at {_dist_label(dist)}")
+            issues.append(f"not increasing above sufficiency at {dist.label()}")
     for dist in (PolarCap(0.3), PolarCap(1.2), VonMisesFisher(6.0)):
         for alpha in (0.0, 0.1, 0.3, 0.49):
             h = cc_cost(bell_probabilities_averaged(alpha, dist))
             if not h < 2.0 - 1e-12:
-                issues.append(f"H({alpha}, {_dist_label(dist)}) = {h!r} not < 2")
+                issues.append(f"H({alpha}, {dist.label()}) = {h!r} not < 2")
         if cc_cost(bell_probabilities_averaged(0.5, dist)) != 2.0:
-            issues.append(f"H(0.5, {_dist_label(dist)}) != 2")
+            issues.append(f"H(0.5, {dist.label()}) != 2")
     if cc_cost(bell_probabilities_averaged(0.2, Uniform())) != 2.0:
         issues.append("H(uniform) != 2")
     return not issues, "; ".join(issues) if issues else \

@@ -26,6 +26,10 @@ class TestCorrelationTensor:
         with pytest.raises(AttributeError):
             t.t1 = 0.5
 
+    def test_correlation_tensor_of_bare_tensor(self):
+        t = CorrelationTensor(-0.3, 0.2, -1.0)
+        assert correlation_tensor(t) == t
+
 
 class TestBlochDirection:
     def test_unit_vector_is_unit(self):
