@@ -257,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     qt.add_argument("--info", type=float, default=0.16,
                     help="fractional prior information for --eta")
     qt.add_argument("--ensemble", type=int, default=10 ** 4)
-    qt.add_argument("--n", type=int, default=10 ** 5)
+    qt.add_argument("--n", type=int, default=10 ** 5,
+                    help="unused: eta_d takes F_cl in closed form (must be "
+                         ">= 1 for --dim 3)")
     qt.add_argument("--convention", choices=("uniform", "haar", "maximal"),
                     default="uniform")
     _add_output_flags(qt)

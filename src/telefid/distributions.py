@@ -8,10 +8,10 @@ closed form with numerically stable branches, next to its density, mean
 polar angle and sampler; the module functions are the public entry points
 and call into the class.  Uniform is the kappa = 0 von Mises-Fisher.
 
-Also hosts the qutrit input measure: the unit sphere S^5 in hyperspherical
-coordinates (phi, theta1..theta4) with volume element
-dphi dtheta_i sin(theta1) sin^2(theta2) sin^3(theta3) sin^4(theta4),
-optionally restricted to theta4 <= theta4_max.
+Also hosts the qutrit input measure: the unit sphere S^5 written as
+(sin(theta4) w, cos(theta4)) with w a uniform point on S^4 and theta4 of
+density proportional to sin^4(theta4), optionally restricted to
+theta4 <= theta4_max.
 """
 from __future__ import annotations
 
@@ -240,10 +240,6 @@ def mean_polar_angle(dist: InputDistribution) -> float:
     return dist.mean_polar_angle()
 
 
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    return np.random.default_rng(seed_or_rng)
-
-
 def sample_directions(dist: InputDistribution, n: int, rng) -> np.ndarray:
     """n input directions, shape (n, 2) as (theta, phi) rows.
 
@@ -252,7 +248,7 @@ def sample_directions(dist: InputDistribution, n: int, rng) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    gen = _as_rng(rng)
+    gen = np.random.default_rng(rng)
     theta = np.arccos(dist.cos_inverse_cdf(gen.random(n)))
     phi = gen.random(n) * (2.0 * math.pi)
     return np.column_stack((theta, phi))
@@ -260,40 +256,20 @@ def sample_directions(dist: InputDistribution, n: int, rng) -> np.ndarray:
 
 ##### qutrit input manifold #####
 
-def _sin_power_cdf_antideriv(k: int, theta):
-    """Antiderivative of sin^k on [0, pi], vectorized, F(0) = 0."""
-    if k == 2:
-        return 0.5 * theta - 0.25 * np.sin(2.0 * theta)
-    if k == 3:
-        c = np.cos(theta)
-        return 2.0 / 3.0 - c + c ** 3 / 3.0
-    if k == 4:
-        return 0.375 * theta - 0.25 * np.sin(2.0 * theta) + np.sin(4.0 * theta) / 32.0
-    raise ValueError(k)
-
-
-def _invert_sin_power_cdf(k: int, targets: np.ndarray, hi: float) -> np.ndarray:
-    """Bisect F_k(theta)/F_k(hi) = target on [0, hi] to 1e-12."""
-    norm = float(_sin_power_cdf_antideriv(k, np.asarray(hi)))
-    t = targets * norm
-    lo_arr = np.zeros_like(targets)
-    hi_arr = np.full_like(targets, hi)
-    # 52 halvings take the bracket below 1e-12 starting from pi
-    for _ in range(52):
-        mid = 0.5 * (lo_arr + hi_arr)
-        below = _sin_power_cdf_antideriv(k, mid) < t
-        lo_arr = np.where(below, mid, lo_arr)
-        hi_arr = np.where(below, hi_arr, mid)
-    return 0.5 * (lo_arr + hi_arr)
+def _sin4_antideriv(theta):
+    """Antiderivative of sin^4 on [0, pi], vectorized, F(0) = 0."""
+    return 0.375 * theta - 0.25 * np.sin(2.0 * theta) + np.sin(4.0 * theta) / 32.0
 
 
 def sample_qutrit_inputs(theta4_max: float, n: int, rng) -> np.ndarray:
     """n qutrit input states, shape (n, 3) complex amplitudes (x, y, z).
 
-    Hyperspherical chart on S^5:
-      x = e^{i phi} s1 s2 s3 s4, |y|^2 = (c1^2 s2^2 + c2^2) s3^2 s4^2,
-      z components from (c3 s4, c4).  theta4_max = pi gives the Haar
-    measure; smaller values restrict the last latitude.
+    A point of S^5 is (s4 w, c4), s4 = sin(theta4), c4 = cos(theta4), with
+    w uniform on S^4 and theta4 of density ~ sin^4(theta4) on
+    [0, theta4_max]; theta4_max = pi gives the Haar measure.  w is a
+    normalized 5-D standard normal (Muller, Comm. ACM 2, 19 (1959));
+    theta4 inverts the sin^4 CDF by bisection.  Then
+      x = s4 (w0 + i w1),  y = s4 |(w2, w3)|,  z = |(s4 w4, c4)|.
 
     The phases of y and z are dropped (they never enter any fidelity here),
     so y and z come out real nonnegative; x keeps the explicit phase.
@@ -302,23 +278,21 @@ def sample_qutrit_inputs(theta4_max: float, n: int, rng) -> np.ndarray:
         raise ValueError(f"theta4_max={theta4_max!r} outside (0, pi]")
     if n < 0:
         raise ValueError("n must be >= 0")
-    gen = _as_rng(rng)
-    th1 = np.arccos(1.0 - 2.0 * gen.random(n))
-    th2 = _invert_sin_power_cdf(2, gen.random(n), math.pi)
-    th3 = _invert_sin_power_cdf(3, gen.random(n), math.pi)
-    th4 = _invert_sin_power_cdf(4, gen.random(n), theta4_max)
-    phi = gen.random(n) * (2.0 * math.pi)
-
-    s1, c1 = np.sin(th1), np.cos(th1)
-    s2, c2 = np.sin(th2), np.cos(th2)
-    s3, c3 = np.sin(th3), np.cos(th3)
+    gen = np.random.default_rng(rng)
+    w = gen.standard_normal((n, 5))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    target = gen.random(n) * _sin4_antideriv(theta4_max)
+    # bisect F(theta4) = target on [0, theta4_max]; th4 is the lower end of
+    # the bracket, and 52 halvings take its width below 1e-12 from pi
+    th4 = np.zeros(n)
+    step = theta4_max
+    for _ in range(52):
+        step *= 0.5
+        th4 += np.where(_sin4_antideriv(th4 + step) < target, step, 0.0)
+    th4 += 0.5 * step
     s4, c4 = np.sin(th4), np.cos(th4)
-
-    x = np.exp(1j * phi) * (s1 * s2 * s3 * s4)
-    y = np.sqrt((c1 * s2) ** 2 + c2 ** 2) * (s3 * s4)
-    z = np.sqrt((c3 * s4) ** 2 + c4 ** 2)
     out = np.empty((n, 3), dtype=complex)
-    out[:, 0] = x
-    out[:, 1] = y
-    out[:, 2] = z
+    out[:, 0] = s4 * (w[:, 0] + 1j * w[:, 1])
+    out[:, 1] = s4 * np.hypot(w[:, 2], w[:, 3])
+    out[:, 2] = np.hypot(s4 * w[:, 4], c4)
     return out

@@ -207,10 +207,10 @@ def dimensional_advantage(dim: int, fractional_info: float,
     draws the joint pure state Haar-uniformly, "maximal" uses the
     maximally entangled resource only.
 
-    For d = 2 the classical fidelity is exact and n_samples is unused;
-    for d = 3 the input-ensemble average <P4> is estimated once from
-    n_samples draws (the resource average factorizes out of the input
-    average, so per-resource re-sampling would add cost but no accuracy).
+    F_cl is exact: (2/3)(1 + I_f) for d = 2 and <P4> = (1 + I_f)/2 for
+    d = 3, and <F>_d - F_cl = (1 - F_cl) <x>, x the concurrence (d = 2) or
+    the cross sum K (d = 3); only x is sampled.  n_samples is unused
+    (d = 3 still requires n_samples >= 1).
     """
     if ensemble_size < 1:
         raise ValueError("ensemble_size must be >= 1")
@@ -219,26 +219,18 @@ def dimensional_advantage(dim: int, fractional_info: float,
         fcl = (2.0 / 3.0) * (1.0 + fractional_info)
         # consistency of the matched cap (also validates the target range)
         cap_theta0_for_classical_fidelity(fcl)
-        c = _qubit_resource_concurrences(ensemble_size, rng, convention)
-        gain = (1.0 - fcl) / fcl
-        eta = 100.0 * gain * float(c.mean())
-        se = 100.0 * gain * float(c.std() / math.sqrt(ensemble_size))
-        return EstimatorReport(eta, se, ensemble_size, seed)
-    if dim == 3:
+        draw = _qubit_resource_concurrences
+    elif dim == 3:
         if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        theta4 = theta4_for_fractional_info(fractional_info)
-        amps = sample_qutrit_inputs(theta4, n_samples, rng)
-        sq = np.abs(amps) ** 2
-        p4 = (sq * sq).sum(axis=1)
-        m_hat = float(p4.mean())
-        se_m = float(p4.std() / math.sqrt(n_samples))
-        k = _qutrit_resource_cross_sums(ensemble_size, rng, convention)
-        k_bar = float(k.mean())
-        se_k = float(k.std() / math.sqrt(ensemble_size))
-        # eta/100 = K (1 - m)/m; first-order error propagation in (K, m)
-        gain = (1.0 - m_hat) / m_hat
-        eta = 100.0 * k_bar * gain
-        se = 100.0 * math.hypot(gain * se_k, k_bar * se_m / m_hat ** 2)
-        return EstimatorReport(eta, se, ensemble_size, seed)
-    raise ValueError(f"dim must be 2 or 3, got {dim!r}")
+        fcl = 0.5 * (1.0 + fractional_info)
+        # the matched latitude cutoff exists (also validates the target range)
+        theta4_for_fractional_info(fractional_info)
+        draw = _qutrit_resource_cross_sums
+    else:
+        raise ValueError(f"dim must be 2 or 3, got {dim!r}")
+    x = draw(ensemble_size, rng, convention)
+    gain = (1.0 - fcl) / fcl
+    eta = 100.0 * gain * float(x.mean())
+    se = 100.0 * gain * float(x.std() / math.sqrt(ensemble_size))
+    return EstimatorReport(eta, se, ensemble_size, seed)

@@ -12,9 +12,9 @@ uses the closed-form moments, so the simulators check them independently.
 fidelity sum_k num_k, with standard errors, and to the frequencies of
 outcomes drawn from p; `_shots` keeps one record per shot.  Draws come in
 a fixed order: inputs first, then outcomes.  Each chunk gets its own child
-generator from SeedSequence.spawn and partial sums merge in chunk-index
-order, so results for a given (n_samples, seed) are identical for any
-thread count (TELEFID_THREADS env var, else 1).
+generator from SeedSequence.spawn and returns centred moments, which merge
+in chunk-index order, so results for a given (n_samples, seed) are
+identical for any thread count (TELEFID_THREADS env var, else 1).
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
 
 import numpy as np
@@ -139,20 +140,38 @@ def _sample_outcomes(p: np.ndarray, rng) -> np.ndarray:
     return k
 
 
+def _merge(a, b):
+    """Pool (count, mean, M2, M3, M4) of two samples, M_p = sum (f - mean)^p:
+    the pairwise update of Chan, Golub & LeVeque (1979) and Pebay (2008)."""
+    na, ma, a2, a3, a4 = a
+    nb, mb, b2, b3, b4 = b
+    n = na + nb
+    d = mb - ma
+    dn = d / n
+    return (n, ma + nb * dn,
+            a2 + b2 + na * nb * d * dn,
+            a3 + b3 + na * nb * (na - nb) * d * dn * dn + 3.0 * dn * (na * b2 - nb * a2),
+            a4 + b4 + na * nb * (na * na - na * nb + nb * nb) * d * dn * dn * dn
+            + 6.0 * dn * dn * (na * na * b2 + nb * nb * a2) + 4.0 * dn * (na * b3 - nb * a3))
+
+
 def _simulate(kernel, n_outcomes: int, n_samples: int, seed: int,
               threads: int | None) -> SimReport:
     """Fidelity moments and outcome frequencies of `kernel` over n_samples."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
 
-    def chunk(job) -> np.ndarray:
+    def chunk(job):
         m, child = job
         rng = np.random.default_rng(child)
         _, num, p = kernel(m, rng)
         fbar = num.sum(axis=1)
         k = _sample_outcomes(p, rng)
-        sums = [fbar.sum(), (fbar ** 2).sum(), (fbar ** 3).sum(), (fbar ** 4).sum()]
-        return np.concatenate([sums, np.bincount(k, minlength=n_outcomes)])
+        mean = float(fbar.mean())
+        d = fbar - mean
+        d2 = d * d
+        moments = (m, mean, float(d2.sum()), float((d2 * d).sum()), float((d2 * d2).sum()))
+        return moments, np.bincount(k, minlength=n_outcomes)
 
     full, rest = divmod(n_samples, _CHUNK)
     sizes = [_CHUNK] * full + [rest] * (rest > 0)
@@ -163,18 +182,15 @@ def _simulate(kernel, n_outcomes: int, n_samples: int, seed: int,
             parts = list(pool.map(chunk, jobs))
     else:
         parts = [chunk(job) for job in jobs]
-    total = np.zeros(4 + n_outcomes)
-    for part in parts:
-        total += part
-    mean, e2, e3, e4 = total[:4] / n_samples
-    var = max(e2 - mean * mean, 0.0)
+    _, mean, m2, _, m4 = reduce(_merge, [moments for moments, _ in parts])
+    counts = sum(counts for _, counts in parts)
+    var = m2 / n_samples
     dev = math.sqrt(var)
     # sampling error of the deviation via the fourth central moment
-    m4 = e4 - 4.0 * mean * e3 + 6.0 * mean * mean * e2 - 3.0 * mean ** 4
-    var_var = max(m4 - var * var, 0.0) / n_samples
-    se_dev = math.sqrt(var_var) / (2.0 * dev) if dev > 1e-12 else 0.0
+    var_var = max(m4 / n_samples - var * var, 0.0) / n_samples
+    se_dev = math.sqrt(var_var) / (2.0 * dev) if dev > 0.0 else 0.0
     return SimReport(mean, dev, math.sqrt(var / n_samples), se_dev,
-                     tuple(total[4:] / n_samples), n_samples, seed)
+                     tuple((counts / n_samples).tolist()), n_samples, seed)
 
 
 def _shots(kernel, n_runs: int, seed: int, fields) -> list[ProtocolRun]:

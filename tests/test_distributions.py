@@ -184,10 +184,13 @@ class TestSamplers:
 class TestQutritSampling:
     def test_norms(self):
         rng = np.random.default_rng(3)
-        v = sample_qutrit_inputs(math.pi / 3, 2000, rng)
+        theta4_max = math.pi / 3
+        v = sample_qutrit_inputs(theta4_max, 2000, rng)
         assert v.shape == (2000, 3)
         norms = np.linalg.norm(v, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
+        # |z| >= cos(theta4) >= cos(theta4_max) inside the latitude cap
+        assert np.min(np.abs(v[:, 2])) >= math.cos(theta4_max) - 1e-12
 
     def test_full_range_fourth_moment(self):
         # chart measure at theta4_max=pi matches the Haar value E|x_i|^4 = 1/6
@@ -197,10 +200,12 @@ class TestQutritSampling:
         z = (q.mean() - 1 / 6) / (q.std(ddof=1) / math.sqrt(len(q)))
         assert abs(z) < 4.0
 
-    def test_restricted_participation(self):
+    @pytest.mark.parametrize("theta4_max", [math.pi / 4, math.pi / 2, 0.05],
+                             ids=["quarter-pi", "half-pi", "0.05"])
+    def test_restricted_participation(self, theta4_max):
         rng = np.random.default_rng(9)
-        v = sample_qutrit_inputs(math.pi / 4, 150000, rng)
+        v = sample_qutrit_inputs(theta4_max, 150000, rng)
         p4 = np.sum(np.abs(v) ** 4, axis=1)
-        expected = participation_moment(math.pi / 4)
+        expected = participation_moment(theta4_max)
         z = (p4.mean() - expected) / (p4.std(ddof=1) / math.sqrt(len(p4)))
         assert abs(z) < 4.0

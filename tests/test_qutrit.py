@@ -157,6 +157,13 @@ class TestDimensionalAdvantage:
                             rel_tol=1e-12)
         assert rep.std_error == 0.0
 
+    def test_maximal_qutrit_closed_form(self):
+        rep = dimensional_advantage(3, 0.16, ensemble_size=100, seed=0,
+                                    convention="maximal")
+        m = 0.5 * 1.16
+        assert math.isclose(rep.estimate, 100.0 * (1.0 - m) / m, rel_tol=1e-12)
+        assert rep.std_error == 0.0
+
     @pytest.mark.parametrize("convention", ["uniform", "haar", "maximal"])
     def test_conventions_run(self, convention):
         rep = dimensional_advantage(3, 0.1, ensemble_size=500,

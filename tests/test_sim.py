@@ -8,8 +8,8 @@ from telefid.core import (BellDiagonal, CorrelationTensor, PolarCap, PureSchmidt
 from telefid.fidelity import classical_fidelity, fidelity_stats
 from telefid.qutrit import (QutritSharedState, qutrit_average_fidelity)
 from telefid.resources import bell_probabilities_averaged
-from telefid.sim import (BELL, CORR, _classical_kernel, _qubit_kernel, density_matrix,
-                         qubit_runs, qutrit_runs, simulate_classical,
+from telefid.sim import (BELL, CORR, _classical_kernel, _merge, _qubit_kernel,
+                         density_matrix, qubit_runs, qutrit_runs, simulate_classical,
                          simulate_qubit, simulate_qutrit)
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -122,6 +122,21 @@ class TestClassicalKernelAgainstProtocolChain:
         assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
 
 
+class TestMomentMerge:
+    def test_matches_direct_centred_sums(self):
+        f = 5.0 + np.random.default_rng(1).standard_normal(100003) ** 3
+        parts = np.split(f, [40000, 40001, 90000])
+
+        def moments(x):
+            d = x - x.mean()
+            return (len(x), x.mean(), (d ** 2).sum(), (d ** 3).sum(), (d ** 4).sum())
+        merged = moments(parts[0])
+        for part in parts[1:]:
+            merged = _merge(merged, moments(part))
+        for got, want in zip(merged, moments(f)):
+            assert math.isclose(got, want, rel_tol=1e-12)
+
+
 class TestDeterminism:
     def test_same_seed_same_report(self):
         args = (PureSchmidt.from_concurrence(0.6), PolarCap(1.5), 20000, 9)
@@ -154,6 +169,22 @@ class TestQubitAgainstClosedForm:
         assert _z_score(rep.mean, closed.mean, rep.mean_std_error) < 4.0
         assert _z_score(rep.deviation, closed.deviation,
                         rep.deviation_std_error) < 4.0
+
+    def test_near_maximal_narrow_cap(self):
+        # deviation 3.6e-9 against a mean of ~1: raw power sums cancel here
+        fam, dist = PureSchmidt.from_concurrence(0.99999), PolarCap(0.05)
+        rep = simulate_qubit(fam, dist, 4 * 10 ** 5, seed=0)
+        closed = fidelity_stats(fam, dist)
+        assert rep.deviation_std_error > 0.0
+        assert _z_score(rep.mean, closed.mean, rep.mean_std_error) < 4.0
+        assert _z_score(rep.deviation, closed.deviation,
+                        rep.deviation_std_error) < 4.0
+
+    def test_report_fields_are_python_floats(self):
+        rep = simulate_qubit(Werner(0.8), PolarCap(1.0), 1000, seed=2)
+        fields = (rep.mean, rep.deviation, rep.mean_std_error,
+                  rep.deviation_std_error) + rep.outcome_frequencies
+        assert all(type(v) is float for v in fields)
 
     def test_werner_deviation_is_flat(self):
         rep = simulate_qubit(Werner(0.8), PolarCap(1.0), 10 ** 5, seed=2)
