@@ -11,7 +11,9 @@ and call into the class.  Uniform is the kappa = 0 von Mises-Fisher.
 Also hosts the qutrit input measure: the unit sphere S^5 written as
 (sin(theta4) w, cos(theta4)) with w a uniform point on S^4 and theta4 of
 density proportional to sin^4(theta4), optionally restricted to
-theta4 <= theta4_max.
+theta4 <= theta4_max.  theta4 is drawn by inverting the sin^4 CDF with a
+fixed number of Newton steps on F^(1/5), F the sin^4 antiderivative,
+which is summed from its series where its closed form cancels.
 """
 from __future__ import annotations
 
@@ -256,9 +258,64 @@ def sample_directions(dist: InputDistribution, n: int, rng) -> np.ndarray:
 
 ##### qutrit input manifold #####
 
+# F(theta) = 3 theta/8 - sin(2 theta)/4 + sin(4 theta)/32, the antiderivative
+# of sin^4, cancels to ~ theta^5/5 as theta -> 0 (its relative error is 1e-2
+# at theta = 3e-4 and F(1e-4) rounds to 0), so below _SIN4_SERIES_CUT it is
+# summed from its Taylor series
+#   sum_{k>=2} (-1)^k (4^2k - 4^(k+1)) theta^(2k+1) / (8 (2k)! (2k+1))
+#   = theta^5/5 - 2 theta^7/21 + theta^9/45 - ...
+# The closed form is good to 6e-15 relative from the cut up; at the cut the
+# first omitted term (k = 13) is 6e-20 of the sum.
+_SIN4_SERIES_CUT = 0.5
+_SIN4_SERIES = tuple((-1) ** k * (4 ** (2 * k) - 4 ** (k + 1))
+                     / (8 * math.factorial(2 * k) * (2 * k + 1)) for k in range(12, 1, -1))
+# F(pi); sin^4 is symmetric about pi/2, so F(pi - x) = F(pi) - F(x)
+_SIN4_PI = 0.375 * math.pi
+_NEWTON_STEPS = 4
+
+
 def _sin4_antideriv(theta):
-    """Antiderivative of sin^4 on [0, pi], vectorized, F(0) = 0."""
-    return 0.375 * theta - 0.25 * np.sin(2.0 * theta) + np.sin(4.0 * theta) / 32.0
+    """(F(theta), sin(theta)), F the antiderivative of sin^4 on [0, pi] with
+    F(0) = 0, vectorized; the Newton steps take F' = sin^4 from the second."""
+    theta = np.asarray(theta, dtype=float)
+    s, c = np.sin(theta), np.cos(theta)
+    # 3 theta/8 - sin(2 theta)/4 + sin(4 theta)/32 in sin and cos of theta
+    closed = 0.375 * (theta - s * c) - 0.25 * s * s * s * c
+    t2 = theta * theta
+    series = np.full_like(theta, _SIN4_SERIES[0])
+    for coef in _SIN4_SERIES[1:]:
+        series *= t2
+        series += coef
+    series *= t2 * t2 * theta
+    return np.where(theta < _SIN4_SERIES_CUT, series, closed), s
+
+
+def _invert_sin4_antideriv(target, theta4_max: float) -> np.ndarray:
+    """theta4 in [0, theta4_max] with F(theta4) = target, F the sin^4
+    antiderivative, for targets in [0, F(theta4_max)].
+
+    Targets above F(pi)/2 fold onto [0, pi/2] through F(pi - x) =
+    F(pi) - F(x).  There four Newton steps on F^(1/5) = target^(1/5) start
+    from y (1 + 2 y^2/21), y = (5 target)^(1/5), the series of F inverted to
+    second order.  F^(1/5) is concave on (0, pi/2] and the start lies below
+    the root, so the steps climb to it without a bracket and never
+    overshoot; they leave |F(theta4) - target| within a few ulp of
+    F(theta4_max) plus sin^4(theta4) times an ulp of theta4.
+    """
+    upper = target > 0.5 * _SIN4_PI
+    t = np.where(upper, _SIN4_PI - target, target)
+    tau = t ** 0.2
+    th4 = (5.0 * t) ** 0.2
+    th4 += th4 * th4 * th4 * (2.0 / 21.0)
+    for _ in range(_NEWTON_STEPS):
+        # d F^(1/5)/d theta = sin^4 / (5 F^(4/5)); the 1e-300 keeps the
+        # target-0 root at 0 instead of 0/0
+        f, s = _sin4_antideriv(th4)
+        h = f ** 0.2
+        r = h / (s + 1e-300)
+        r *= r
+        th4 -= 5.0 * (h - tau) * r * r
+    return np.minimum(np.where(upper, math.pi - th4, th4), theta4_max)
 
 
 def sample_qutrit_inputs(theta4_max: float, n: int, rng) -> np.ndarray:
@@ -268,7 +325,8 @@ def sample_qutrit_inputs(theta4_max: float, n: int, rng) -> np.ndarray:
     w uniform on S^4 and theta4 of density ~ sin^4(theta4) on
     [0, theta4_max]; theta4_max = pi gives the Haar measure.  w is a
     normalized 5-D standard normal (Muller, Comm. ACM 2, 19 (1959));
-    theta4 inverts the sin^4 CDF by bisection.  Then
+    theta4 inverts the sin^4 CDF at a uniform draw by Newton's method
+    (_invert_sin4_antideriv).  Then
       x = s4 (w0 + i w1),  y = s4 |(w2, w3)|,  z = |(s4 w4, c4)|.
 
     The phases of y and z are dropped (they never enter any fidelity here),
@@ -281,18 +339,16 @@ def sample_qutrit_inputs(theta4_max: float, n: int, rng) -> np.ndarray:
     gen = np.random.default_rng(rng)
     w = gen.standard_normal((n, 5))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
-    target = gen.random(n) * _sin4_antideriv(theta4_max)
-    # bisect F(theta4) = target on [0, theta4_max]; th4 is the lower end of
-    # the bracket, and 52 halvings take its width below 1e-12 from pi
-    th4 = np.zeros(n)
-    step = theta4_max
-    for _ in range(52):
-        step *= 0.5
-        th4 += np.where(_sin4_antideriv(th4 + step) < target, step, 0.0)
-    th4 += 0.5 * step
+    target = gen.random(n) * _sin4_antideriv(theta4_max)[0]
+    th4 = _invert_sin4_antideriv(target, theta4_max)
     s4, c4 = np.sin(th4), np.cos(th4)
-    out = np.empty((n, 3), dtype=complex)
-    out[:, 0] = s4 * (w[:, 0] + 1j * w[:, 1])
-    out[:, 1] = s4 * np.hypot(w[:, 2], w[:, 3])
-    out[:, 2] = np.hypot(s4 * w[:, 4], c4)
-    return out
+    w = w.T
+    # one amplitude per row, written through real views: no complex temporaries
+    out = np.empty((3, n), dtype=complex)
+    re, im = out.real, out.imag
+    np.multiply(s4, w[0], out=re[0])
+    np.multiply(s4, w[1], out=im[0])
+    np.multiply(s4, np.hypot(w[2], w[3]), out=re[1])
+    np.hypot(s4 * w[4], c4, out=re[2])
+    im[1:] = 0.0
+    return out.T

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.integrate import quad
@@ -23,8 +24,11 @@ from .core import EstimatorReport
 from .compare import cap_theta0_for_classical_fidelity
 from .distributions import sample_qutrit_inputs
 from .fidelity import InfoMeasure
+from .sim import _CHUNK, _merge
 
 _NORM_TOL = 1e-12
+# smallest latitude cutoff theta4_for_fractional_info searches down to
+_THETA4_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -115,12 +119,19 @@ def qutrit_average_fidelity(shared: QutritSharedState, theta4_max: float,
         raise ValueError(f"unknown method {method!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    amps = sample_qutrit_inputs(theta4_max, n_samples, np.random.default_rng(seed))
-    sq = np.abs(amps) ** 2
-    p4 = (sq * sq).sum(axis=1)
-    f = k + (1.0 - k) * p4
-    mean = float(f.mean())
-    se = float(f.std() / math.sqrt(n_samples))
+    gen = np.random.default_rng(seed)
+    parts = []
+    for start in range(0, n_samples, _CHUNK):
+        amps = sample_qutrit_inputs(theta4_max, min(_CHUNK, n_samples - start), gen)
+        sq = np.abs(amps) ** 2
+        f = k + (1.0 - k) * (sq * sq).sum(axis=1)
+        mean = float(f.mean())
+        d = f - mean
+        # (count, mean, M2) merged by the simulator's pairwise update;
+        # M3 and M4 are not needed here
+        parts.append((f.size, mean, float((d * d).sum()), 0.0, 0.0))
+    _, mean, m2, _, _ = reduce(_merge, parts)
+    se = math.sqrt(m2 / n_samples) / math.sqrt(n_samples)
     return EstimatorReport(mean, se, n_samples, seed)
 
 
@@ -148,17 +159,21 @@ def theta4_for_fractional_info(target: float) -> float:
     Inverts I_f(theta4_max) = 2 <P4> - 1 on (0, pi/2], where it decreases
     strictly from ~1 to 0.
     """
-    if not 0.0 <= target < 1.0:
-        raise ValueError(f"fractional information target {target!r} outside [0, 1)")
+    _check_fractional_info(target)
     if target == 0.0:
         return 0.5 * math.pi
-    lo = 1e-3
-    top = 2.0 * participation_moment(lo) - 1.0
+    return brentq(lambda t: 2.0 * participation_moment(t) - 1.0 - target,
+                  _THETA4_FLOOR, 0.5 * math.pi, xtol=1e-12)
+
+
+def _check_fractional_info(target: float) -> None:
+    """Raise ValueError unless theta4_for_fractional_info can invert target."""
+    if not 0.0 <= target < 1.0:
+        raise ValueError(f"fractional information target {target!r} outside [0, 1)")
+    top = 2.0 * participation_moment(_THETA4_FLOOR) - 1.0
     if target >= top:
         raise ValueError(f"target {target!r} above {top:.9f}, the largest "
-                         f"invertible with theta4_max >= {lo:g}")
-    return brentq(lambda t: 2.0 * participation_moment(t) - 1.0 - target,
-                  lo, 0.5 * math.pi, xtol=1e-12)
+                         f"invertible with theta4_max >= {_THETA4_FLOOR:g}")
 
 
 def _qubit_resource_concurrences(n: int, rng, convention: str) -> np.ndarray:
@@ -224,8 +239,8 @@ def dimensional_advantage(dim: int, fractional_info: float,
         if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         fcl = 0.5 * (1.0 + fractional_info)
-        # the matched latitude cutoff exists (also validates the target range)
-        theta4_for_fractional_info(fractional_info)
+        # the matched latitude cutoff exists
+        _check_fractional_info(fractional_info)
         draw = _qutrit_resource_cross_sums
     else:
         raise ValueError(f"dim must be 2 or 3, got {dim!r}")

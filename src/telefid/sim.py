@@ -5,8 +5,13 @@ and returns kernel(n, rng) -> (inputs, num[n, k], p[n, k]): n inputs drawn
 from the ensemble, the probability p_k of each measurement outcome and
 num_k = p_k f_k, f_k the fidelity of the corrected output.  The qubit
 (Bell), qutrit (Weyl) and classical measure-and-prepare (z measurement,
-re-prepare the pole state) protocols all run in full this way.  No kernel
-uses the closed-form moments, so the simulators check them independently.
+re-prepare the pole state) protocols all run in full this way.  The qubit
+and qutrit kernels contract their measurement and correction operators
+with the resource into real forms on coordinates quadratic in the input
+(z = chi x conj(chi); the 9 real coordinates of x x conj(x)), so a
+chunk's p_k and num_k come from real matmuls, not per-sample operator
+chains.  No kernel uses the closed-form moments, so the simulators check
+them independently.
 
 `_simulate` reduces any kernel to the moments of the outcome-averaged
 fidelity sum_k num_k, with standard errors, and to the frequencies of
@@ -259,18 +264,41 @@ def _classical_kernel(dist: InputDistribution):
 
 
 def _qutrit_kernel(shared, theta4_max: float):
-    """Qutrit protocol kernel: Weyl outcome k has p_k = <x|W_k diag(w) W_k^dag|x>/3
-    and num_k = |<x|W_k diag(sqrt w) W_k^dag|x>|^2/3, w the Schmidt weights."""
+    """Qutrit protocol kernel; the operators are contracted once per state.
+
+    Weyl outcome k has p_k = <x|W_k diag(w) W_k^dag|x>/3 and num_k = t_k^2/3,
+    t_k = <x|W_k diag(sqrt w) W_k^dag|x>, w the Schmidt weights; both
+    operators are Hermitian, so t_k is real.  A Hermitian M gives
+    <x|M|x> = sum_i M_ii |x_i|^2 + sum_{i<l} 2 (Re M_il Re c_il - Im M_il Im c_il),
+    c_il = conj(x_i) x_l, which is linear in the 9 real coordinates
+    v = (|x_i|^2, Re c_il, Im c_il).  The 18 operators (t_k/sqrt 3, then p_k)
+    contract into one real (18, 9) form built from WEYL and w, not from the
+    closed form, and one matmul form @ v evaluates them all.
+    """
     weights = np.asarray(shared.weights())
-    m_ops = np.einsum('kij,j,klj->kil', WEYL, np.sqrt(weights), WEYL.conj())
-    p_ops = np.einsum('kij,j,klj->kil', WEYL, weights, WEYL.conj())
+    ops = np.concatenate([
+        np.einsum('kij,j,klj->kil', WEYL, np.sqrt(weights / 3.0), WEYL.conj()),
+        np.einsum('kij,j,klj->kil', WEYL, weights / 3.0, WEYL.conj())])
+    i, l = np.triu_indices(3, 1)
+    off = ops[:, i, l]
+    form = np.concatenate([ops[:, [0, 1, 2], [0, 1, 2]].real,
+                           2.0 * off.real, -2.0 * off.imag], axis=1)
 
     def kernel(n: int, rng):
         amps = sample_qutrit_inputs(theta4_max, n, rng)
-        t = np.einsum('ni,kij,nj->nk', amps.conj(), m_ops, amps)
-        num = (t.real ** 2 + t.imag ** 2) / 3.0
-        p = np.einsum('ni,kij,nj->nk', amps.conj(), p_ops, amps).real / 3.0
-        return amps, num, p
+        # one row per coordinate: long contiguous rows keep numpy's loops
+        # fast, and num and p come out column-major like _classical_kernel's
+        re, im = amps.real.T, amps.imag.T
+        v = np.empty((9, n))
+        np.multiply(re, re, out=v[:3])
+        v[:3] += im * im
+        np.multiply(re[i], re[l], out=v[3:6])
+        v[3:6] += im[i] * im[l]
+        np.multiply(re[i], im[l], out=v[6:])
+        v[6:] -= im[i] * re[l]
+        tp = form @ v
+        tp[:9] *= tp[:9]
+        return amps, tp[:9].T, tp[9:].T
     return kernel
 
 

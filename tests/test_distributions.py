@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from telefid.core import PolarCap, Uniform, VonMisesFisher, BlochDirection
-from telefid.distributions import (cos_moments, density, mean_polar_angle,
+from telefid.distributions import (_invert_sin4_antideriv, _sin4_antideriv,
+                                   cos_moments, density, mean_polar_angle,
                                    sample_directions, sample_qutrit_inputs,
                                    spread_moments)
 from telefid.qutrit import participation_moment
@@ -209,3 +210,53 @@ class TestQutritSampling:
         expected = participation_moment(theta4_max)
         z = (p4.mean() - expected) / (p4.std(ddof=1) / math.sqrt(len(p4)))
         assert abs(z) < 4.0
+
+    def test_small_cutoff_scaled_angle(self):
+        # the polar angle from the pole over theta4_max has a scale-free law
+        # for small cutoffs; at 1e-4 the cancelling closed form of the sin^4
+        # CDF used to give 0.0345 instead of 0.7365
+        def scaled_angle(theta4_max):
+            v = sample_qutrit_inputs(theta4_max, 400000, np.random.default_rng(0))
+            a = np.arccos(np.minimum(np.abs(v[:, 2]), 1.0)) / theta4_max
+            return a.mean(), a.std(ddof=1) / math.sqrt(len(a))
+        m_small, se_small = scaled_angle(1e-4)
+        m_ref, se_ref = scaled_angle(0.05)
+        assert abs(m_small - m_ref) < 4.0 * math.hypot(se_small, se_ref)
+
+
+class TestSin4Antiderivative:
+    @staticmethod
+    def _series(theta):
+        # sum_{k>=2} (-1)^k (4^2k - 4^(k+1)) theta^(2k+1) / (8 (2k)! (2k+1))
+        return math.fsum((-1) ** k * (4 ** (2 * k) - 4 ** (k + 1)) * theta ** (2 * k + 1)
+                         / (8 * math.factorial(2 * k) * (2 * k + 1)) for k in range(2, 40))
+
+    def test_matches_series(self):
+        thetas = np.geomspace(1e-6, 0.5, 400)
+        got = _sin4_antideriv(thetas)[0]
+        want = np.array([self._series(t) for t in thetas])
+        assert np.max(np.abs(got - want) / want) < 1e-14
+
+    def test_closed_form_range(self):
+        thetas = np.linspace(0.5, math.pi, 200)
+        got = _sin4_antideriv(thetas)[0]
+        want = 0.375 * thetas - 0.25 * np.sin(2 * thetas) + np.sin(4 * thetas) / 32
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+        assert math.isclose(float(_sin4_antideriv(math.pi)[0]), 0.375 * math.pi,
+                            rel_tol=1e-15)
+
+    @pytest.mark.parametrize("theta4_max", [math.pi, 2.5, math.pi / 2, 0.3, 0.05, 1e-4])
+    def test_newton_inversion(self, theta4_max):
+        f_max = float(_sin4_antideriv(theta4_max)[0])
+        u = np.concatenate([np.linspace(0.0, 1.0, 20001), np.geomspace(1e-16, 1.0, 200)])
+        target = np.concatenate([u * f_max, [0.0, f_max]])
+        if 3 * math.pi / 16 <= f_max:
+            target = np.append(target, 3 * math.pi / 16)
+        theta = _invert_sin4_antideriv(target, theta4_max)
+        assert not np.isnan(theta).any()
+        assert theta.min() >= 0.0 and theta.max() <= theta4_max
+        # F rounds to an ulp of F(theta4_max); a theta4 ulp moves F by
+        # sin^4(theta4) of it
+        resid = np.abs(_sin4_antideriv(theta)[0] - target)
+        slack = 4 * np.spacing(f_max) + 2 * np.sin(theta) ** 4 * np.spacing(theta)
+        assert np.all(resid <= slack)

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from telefid import qutrit
+from telefid.distributions import sample_qutrit_inputs
 from telefid.qutrit import (QutritInput, QutritSharedState,
                             dimensional_advantage, participation_moment,
                             qutrit_average_fidelity, qutrit_classical_fidelity,
@@ -98,6 +102,38 @@ class TestAverageFidelity:
         rep = qutrit_average_fidelity(QutritSharedState(1 / 3, 1 / 3), 0.7)
         assert abs(rep.estimate - 1.0) < 1e-12
 
+    @staticmethod
+    def _direct(shared, theta4_max, sizes, seed):
+        # the MC estimator written out over one array of every draw
+        rng = np.random.default_rng(seed)
+        amps = np.concatenate([sample_qutrit_inputs(theta4_max, m, rng) for m in sizes])
+        sq = np.abs(amps) ** 2
+        k = qutrit._cross_sum(shared)
+        f = k + (1.0 - k) * (sq * sq).sum(axis=1)
+        return float(f.mean()), float(f.std() / math.sqrt(len(f)))
+
+    def test_mc_single_chunk_stream(self):
+        shared, n = QutritSharedState(0.5, 0.3), 1 << 17
+        rep = qutrit_average_fidelity(shared, 0.9, method="mc", n_samples=n, seed=6)
+        assert (rep.estimate, rep.std_error) == self._direct(shared, 0.9, [n], 6)
+
+    def test_mc_chunks_pool_exactly(self):
+        shared, n = QutritSharedState(0.6, 0.1), 3 * 10 ** 5
+        rep = qutrit_average_fidelity(shared, 0.9, method="mc", n_samples=n, seed=6)
+        mean, se = self._direct(shared, 0.9, [1 << 17, 1 << 17, n - (2 << 17)], 6)
+        assert math.isclose(rep.estimate, mean, rel_tol=1e-14)
+        assert math.isclose(rep.std_error, se, rel_tol=1e-10)
+
+    def test_mc_memory_is_bounded(self):
+        tracemalloc.start()
+        try:
+            qutrit_average_fidelity(QutritSharedState(0.5, 0.3), math.pi / 4,
+                                    method="mc", n_samples=10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
+
 
 class TestClassicalFidelity:
     def test_haar_limit(self):
@@ -133,6 +169,25 @@ class TestInformation:
 
 
 class TestDimensionalAdvantage:
+    def test_qutrit_validates_without_root_find(self, monkeypatch):
+        def no_root_find(target):
+            raise AssertionError("theta4_for_fractional_info called")
+        monkeypatch.setattr(qutrit, "theta4_for_fractional_info", no_root_find)
+        rep = dimensional_advantage(3, 0.16, ensemble_size=100, seed=0)
+        assert 0.0 < rep.estimate < 100.0
+
+    @pytest.mark.parametrize("target,message", [
+        (0.9999999, r"^target 0\.9999999 above 0\.999997714, the largest invertible "
+                    r"with theta4_max >= 0\.001$"),
+        (-0.1, r"^fractional information target -0\.1 outside \[0, 1\)$"),
+    ])
+    def test_qutrit_range_message(self, target, message):
+        with pytest.raises(ValueError, match=message) as by_eta:
+            dimensional_advantage(3, target, ensemble_size=10)
+        with pytest.raises(ValueError) as by_cutoff:
+            theta4_for_fractional_info(target)
+        assert str(by_eta.value) == str(by_cutoff.value)
+
     def test_qubit_band(self):
         rep = dimensional_advantage(2, 0.16, ensemble_size=4000, seed=1)
         assert 20.0 < rep.estimate < 26.0

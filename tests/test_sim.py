@@ -8,9 +8,10 @@ from telefid.core import (BellDiagonal, CorrelationTensor, PolarCap, PureSchmidt
 from telefid.fidelity import classical_fidelity, fidelity_stats
 from telefid.qutrit import (QutritSharedState, qutrit_average_fidelity)
 from telefid.resources import bell_probabilities_averaged
-from telefid.sim import (BELL, CORR, _classical_kernel, _merge, _qubit_kernel,
-                         density_matrix, qubit_runs, qutrit_runs, simulate_classical,
-                         simulate_qubit, simulate_qutrit)
+from telefid import sim
+from telefid.sim import (BELL, CORR, WEYL, _classical_kernel, _merge, _qubit_kernel,
+                         _qutrit_kernel, density_matrix, qubit_runs, qutrit_runs,
+                         simulate_classical, simulate_qubit, simulate_qutrit)
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -95,6 +96,43 @@ class TestKernelAgainstProtocolChain:
             chi = np.array([math.cos(theta / 2),
                             np.exp(1j * phi) * math.sin(theta / 2)])
             p_ref, num_ref = self._chain(chi, rho)
+            assert np.allclose(p[n], p_ref, rtol=0.0, atol=1e-14)
+            assert np.allclose(num[n], num_ref, rtol=0.0, atol=1e-14)
+        assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+
+
+class TestQutritKernelAgainstProtocolChain:
+    """The contracted Weyl form reproduces the protocol run per input."""
+
+    @staticmethod
+    def _chain(x, weights):
+        # |x> x sum_j sqrt(w_j)|j>|j> on (input, A, B); project (input, A) on
+        # each generalized Bell state (W_k x I)|Phi+>, apply Bob's correction
+        # W_k, overlap with the input
+        psi = np.diag(np.sqrt(weights)).reshape(9)
+        full = np.kron(x, psi).reshape(9, 3)
+        p, num = [], []
+        for w_k in WEYL:
+            bell = w_k.reshape(9) / math.sqrt(3.0)
+            bob = bell.conj() @ full
+            out = w_k @ bob
+            p.append(np.vdot(bob, bob).real)
+            num.append(abs(np.vdot(x, out)) ** 2)
+        return np.array(p), np.array(num)
+
+    @pytest.mark.parametrize("weights", [(0.5, 0.3), (1.0, 0.0), (1 / 3, 1 / 3), (0.6, 0.0)],
+                             ids=["generic", "product", "maximal", "two-level"])
+    def test_matches_explicit_chain(self, weights, monkeypatch):
+        def haar_inputs(theta4_max, n, rng):
+            # complex y and z, which the S^5 sampler never produces
+            g = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+            return g / np.linalg.norm(g, axis=1, keepdims=True)
+        monkeypatch.setattr(sim, "sample_qutrit_inputs", haar_inputs)
+        shared = QutritSharedState(*weights)
+        amps, num, p = _qutrit_kernel(shared, math.pi)(64, np.random.default_rng(37))
+        assert np.abs(amps[:, 1:].imag).min() > 0.0
+        for n, x in enumerate(amps):
+            p_ref, num_ref = self._chain(x, shared.weights())
             assert np.allclose(p[n], p_ref, rtol=0.0, atol=1e-14)
             assert np.allclose(num[n], num_ref, rtol=0.0, atol=1e-14)
         assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
