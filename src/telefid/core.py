@@ -128,6 +128,8 @@ class BellDiagonal(StateFamily):
         w = tuple(float(x) for x in weights)
         if len(w) != 4:
             raise ValueError("need exactly 4 Bell weights")
+        if not all(map(math.isfinite, w)):
+            raise ValueError(f"weights {w} not finite")
         if any(x < -_TOL or x > 1.0 + _TOL for x in w):
             raise ValueError(f"weights {w} outside [0, 1]")
         if abs(sum(w) - 1.0) > _TOL:

@@ -39,6 +39,8 @@ class QutritSharedState:
     b: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"(a, b)=({self.a!r}, {self.b!r}) not finite")
         if self.a < 0.0 or self.b < 0.0 or self.a + self.b > 1.0 + _NORM_TOL:
             raise ValueError(f"(a, b)=({self.a!r}, {self.b!r}) not a weight pair")
 

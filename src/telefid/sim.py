@@ -7,11 +7,11 @@ num_k = p_k f_k, f_k the fidelity of the corrected output.  The qubit
 (Bell), qutrit (Weyl) and classical measure-and-prepare (z measurement,
 re-prepare the pole state) protocols all run in full this way.  The qubit
 and qutrit kernels contract their measurement and correction operators
-with the resource into real forms on coordinates quadratic in the input
-(z = chi x conj(chi); the 9 real coordinates of x x conj(x)), so a
-chunk's p_k and num_k come from real matmuls, not per-sample operator
-chains.  No kernel uses the closed-form moments, so the simulators check
-them independently.
+with the resource into real forms on the real coordinates the protocol
+sees of an input: its Bloch 4-vector for a qubit, its three populations
+|x_i|^2 for a qutrit.  So a chunk's p_k and num_k come from real matmuls,
+not per-sample operator chains.  No kernel uses the closed-form moments,
+so the simulators check them independently.
 
 `_simulate` reduces any kernel to the moments of the outcome-averaged
 fidelity sum_k num_k, with standard errors, and to the frequencies of
@@ -51,7 +51,9 @@ BELL = np.array([
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+PAULI = np.stack([_I2, _X, _Y, _Z])
 # Correction unitaries per outcome for a psi- (singlet-convention) resource
 CORR = np.stack([_X @ _Z, _X, _Z, _I2])
 
@@ -121,9 +123,8 @@ def density_matrix(state) -> np.ndarray:
         return np.einsum('k,ka,kb->ab', np.asarray(state.weights, dtype=complex),
                          vecs, vecs.conj())
     t1, t2, t3 = _components(state)
-    y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
     return 0.25 * (np.kron(_I2, _I2) + t1 * np.kron(_X, _X)
-                   + t2 * np.kron(y, y) + t3 * np.kron(_Z, _Z))
+                   + t2 * np.kron(_Y, _Y) + t3 * np.kron(_Z, _Z))
 
 
 def _thread_count(threads: int | None) -> int:
@@ -212,39 +213,32 @@ def _shots(kernel, n_runs: int, seed: int, fields) -> list[ProtocolRun]:
 def _qubit_kernel(shared: CorrelationTensor | StateFamily, dist: InputDistribution):
     """Qubit protocol kernel; the operators are contracted once per state.
 
-    For an input chi let z = chi x conj(chi), z[2i + j] = chi_i conj(chi_j).
-    Outcome k then has probability p_k = chi^T P_k conj(chi) = Re(z . P_k)
-    and fidelity term num_k = <chi| U_k sigma_k U_k^dag |chi> =
-    z^T Q_k conj(z), with sigma_k Bob's unnormalised state after the Bell
-    projection BELL[k] and U_k = CORR[k].  Q_k and P_k are built from BELL,
-    CORR and rho, not from the closed form.
-
-    Both are evaluated as real matmuls on u = (Re z, Im z):
-    num_k = u^T [[Re Q_k, Im Q_k], [-Im Q_k, Re Q_k]] u, stored as
-    q_mat[:, 8k:8k + 8], and p = u @ p_mat.  Real operands keep the
-    products off OpenBLAS's complex matmul: on an Intel Xeon, the numpy
-    row sums and cumsums that follow one ran about 10x slower.  The input
-    directions are the kernel's only draws.
+    An input enters only through its Bloch 4-vector a = (1, sin(theta)
+    cos(phi), sin(theta) sin(phi), cos(theta)), |chi><chi| = sum_mu a_mu
+    PAULI[mu]/2.  Let S_k(X) = <B_k|X x rho|B_k> be Bob's unnormalised
+    state after the Bell projection BELL[k] and U_k = CORR[k].  Outcome k
+    then has probability p_k = P_k . a and fidelity term num_k =
+    <chi|U_k S_k U_k^dag|chi> = a^T M_k a, with the real
+    P_k[nu] = Tr S_k(sigma_nu)/2 and
+    M_k[mu, nu] = Tr[sigma_mu U_k S_k(sigma_nu) U_k^dag]/4, stored as
+    m[mu, 4k + nu].  Both are built from BELL, CORR and rho, not from the
+    closed form.  The input directions are the kernel's only draws.
     """
     rho4 = density_matrix(shared).reshape(2, 2, 2, 2)
-    ra = np.einsum('abcb->ac', rho4)
-    q = np.einsum('kia,kxb,abcd,kjc,kyd->kixjy', BELL.conj(), CORR, rho4,
-                  BELL, CORR.conj(), optimize=True).reshape(4, 4, 4)
-    p = np.einsum('kia,ac,kjc->kij', BELL.conj(), ra, BELL).reshape(4, 4)
-    blocks = np.block([[q.real, q.imag], [-q.imag, q.real]])
-    q_mat = blocks.transpose(1, 0, 2).reshape(8, 32)
-    p_mat = np.concatenate([p.real, -p.imag], axis=1).T
+    s = np.einsum('kia,nij,abcd,kjc->knbd', BELL.conj(), PAULI, rho4, BELL,
+                  optimize=True)
+    p_mat = 0.5 * np.einsum('knbb->nk', s).real
+    m = 0.25 * np.einsum('mxy,kyb,knbd,kxd->mkn', PAULI, CORR, s, CORR.conj(),
+                         optimize=True).real.reshape(4, 16)
 
     def kernel(n: int, rng):
         tp = sample_directions(dist, n, rng)
-        half = 0.5 * tp[:, 0]
-        chi = np.empty((n, 2), dtype=complex)
-        chi[:, 0] = np.cos(half)
-        chi[:, 1] = np.exp(1j * tp[:, 1]) * np.sin(half)
-        z = (chi[:, :, None] * chi.conj()[:, None, :]).reshape(n, 4)
-        u = np.concatenate([z.real, z.imag], axis=1)
-        num = np.einsum('nkq,nq->nk', (u @ q_mat).reshape(n, 4, 8), u)
-        return tp, num, u @ p_mat
+        theta, phi = tp.T
+        sin = np.sin(theta)
+        a = np.array((np.ones(n), sin * np.cos(phi), sin * np.sin(phi),
+                      np.cos(theta))).T
+        num = np.einsum('nkv,nv->nk', (a @ m).reshape(n, 4, 4), a)
+        return tp, num, a @ p_mat
     return kernel
 
 
@@ -267,35 +261,27 @@ def _qutrit_kernel(shared, theta4_max: float):
     """Qutrit protocol kernel; the operators are contracted once per state.
 
     Weyl outcome k has p_k = <x|W_k diag(w) W_k^dag|x>/3 and num_k = t_k^2/3,
-    t_k = <x|W_k diag(sqrt w) W_k^dag|x>, w the Schmidt weights; both
-    operators are Hermitian, so t_k is real.  A Hermitian M gives
-    <x|M|x> = sum_i M_ii |x_i|^2 + sum_{i<l} 2 (Re M_il Re c_il - Im M_il Im c_il),
-    c_il = conj(x_i) x_l, which is linear in the 9 real coordinates
-    v = (|x_i|^2, Re c_il, Im c_il).  The 18 operators (t_k/sqrt 3, then p_k)
-    contract into one real (18, 9) form built from WEYL and w, not from the
-    closed form, and one matmul form @ v evaluates them all.
+    t_k = <x|W_k diag(sqrt w) W_k^dag|x>, w the Schmidt weights.  Z^n
+    commutes with diagonal matrices, so W_k diag(w) W_k^dag =
+    X^m diag(w) X^-m is diagonal and <x|.|x> is linear in the populations
+    v = |x_i|^2.  The diagonals sum_j |W_k[i, j]|^2 w_j of the 18 operators
+    (t_k/sqrt 3, then p_k), built from WEYL and w, not from the closed
+    form, make one real (18, 3) form, and one matmul form @ v evaluates
+    them all.
     """
     weights = np.asarray(shared.weights())
-    ops = np.concatenate([
-        np.einsum('kij,j,klj->kil', WEYL, np.sqrt(weights / 3.0), WEYL.conj()),
-        np.einsum('kij,j,klj->kil', WEYL, weights / 3.0, WEYL.conj())])
-    i, l = np.triu_indices(3, 1)
-    off = ops[:, i, l]
-    form = np.concatenate([ops[:, [0, 1, 2], [0, 1, 2]].real,
-                           2.0 * off.real, -2.0 * off.imag], axis=1)
+    form = np.concatenate([
+        np.einsum('kij,j,kij->ki', WEYL, np.sqrt(weights / 3.0), WEYL.conj()),
+        np.einsum('kij,j,kij->ki', WEYL, weights / 3.0, WEYL.conj())]).real
 
     def kernel(n: int, rng):
         amps = sample_qutrit_inputs(theta4_max, n, rng)
-        # one row per coordinate: long contiguous rows keep numpy's loops
+        # one row per population: long contiguous rows keep numpy's loops
         # fast, and num and p come out column-major like _classical_kernel's
         re, im = amps.real.T, amps.imag.T
-        v = np.empty((9, n))
-        np.multiply(re, re, out=v[:3])
-        v[:3] += im * im
-        np.multiply(re[i], re[l], out=v[3:6])
-        v[3:6] += im[i] * im[l]
-        np.multiply(re[i], im[l], out=v[6:])
-        v[6:] -= im[i] * re[l]
+        v = np.empty((3, n))
+        np.multiply(re, re, out=v)
+        v += im * im
         tp = form @ v
         tp[:9] *= tp[:9]
         return amps, tp[:9].T, tp[9:].T

@@ -93,6 +93,12 @@ class TestFamilies:
         with pytest.raises(ValueError):
             BellDiagonal((0.5, 0.5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_bd_rejects_non_finite(self, bad):
+        # max(0.0, nan) is 0.0 and every range check on nan is False
+        with pytest.raises(ValueError, match="not finite"):
+            BellDiagonal((bad, 0.5, 0.25, 0.25))
+
     def test_bd_sorts_weights(self):
         fam = BellDiagonal((0.1, 0.4, 0.3, 0.2))
         assert fam.weights == (0.4, 0.3, 0.2, 0.1)

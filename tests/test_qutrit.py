@@ -23,6 +23,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             QutritSharedState(0.7, 0.5)
 
+    @pytest.mark.parametrize("a,b", [(math.nan, 0.2), (0.2, math.nan), (-math.inf, 0.2)])
+    def test_shared_state_rejects_non_finite(self, a, b):
+        with pytest.raises(ValueError, match="not finite"):
+            QutritSharedState(a, b)
+
     def test_weights_clamp(self):
         w = QutritSharedState(0.6, 0.4).weights()
         assert w[2] == 0.0

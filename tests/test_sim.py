@@ -138,6 +138,31 @@ class TestQutritKernelAgainstProtocolChain:
         assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
 
 
+class TestWeylFormsDiagonal:
+    def test_off_diagonal_entries_are_zero(self):
+        # X^m Z^n diag(w) Z^-n X^-m = X^m diag(w) X^-m: the qutrit kernel's
+        # (18, 3) form keeps only the diagonals
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            w = rng.random(3)
+            ops = np.einsum('kij,j,klj->kil', WEYL, w, WEYL.conj())
+            off = ops[:, ~np.eye(3, dtype=bool)]
+            assert np.all(off == 0.0)
+
+
+class TestProductResourceIsClassical:
+    """The product resource |1>|0> runs the z measure-and-prepare benchmark."""
+
+    @pytest.mark.parametrize("dist", [Uniform(), PolarCap(0.8), VonMisesFisher(4.0)])
+    def test_matches_classical_kernel(self, dist):
+        tp, num, p = _qubit_kernel(PureSchmidt(0.0), dist)(256, np.random.default_rng(43))
+        tp_cl, num_cl, p_cl = _classical_kernel(dist)(256, np.random.default_rng(43))
+        assert np.array_equal(tp, tp_cl)
+        assert np.allclose(num.sum(axis=1), num_cl.sum(axis=1), rtol=0.0, atol=1e-15)
+        # the input's |0> component pairs with Alice's |1> only in psi+-
+        assert np.allclose(p[:, 2] + p[:, 3], p_cl[:, 0], rtol=0.0, atol=1e-15)
+
+
 class TestClassicalKernelAgainstProtocolChain:
     """The measure-and-prepare kernel reproduces the protocol run per input."""
 
