@@ -14,17 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .core import EstimatorReport
 from .compare import cap_theta0_for_classical_fidelity
-from .distributions import sample_qutrit_inputs
+from .distributions import _sin4_antideriv
 from .fidelity import InfoMeasure
-from .sim import _CHUNK, _merge
+from .sim import simulate_qutrit
 
 _NORM_TOL = 1e-12
 # smallest latitude cutoff theta4_for_fractional_info searches down to
@@ -85,23 +83,23 @@ def participation_moment(theta4_max: float) -> float:
     """<|x|^4 + |y|^4 + |z|^4> over the restricted input measure.
 
     Integrating out phi and theta1..theta3 analytically leaves a
-    one-dimensional average against the sin^4 marginal of theta4:
-        <P4> = E[(19/35) s^4 + (2/5) s^2 c^2 + c^4],  s = sin theta4.
-    pi (the Haar ensemble) and pi/2 both give exactly 1/2.
+    one-dimensional average against the sin^4 marginal of theta4, s = sin
+    and c = cos theta4: <P4> = E[(19/35) s^4 + (2/5) s^2 c^2 + c^4].  The
+    numerator integrand is s^4 - (8/5) s^6 + (8/7) s^8, and the reduction
+    formula I_n = (n-1)/n I_(n-2) - s^(n-1) c/n for I_n = int_0^theta sin^n
+    turns its integral into I_4/2 + s^5 c (1/10 - s^2/7).  So, with F = I_4
+    the sin^4 antiderivative the sampler inverts,
+        <P4> = 1/2 + s^5 c (1/10 - s^2/7) / F(theta4_max).
+    pi (the Haar ensemble) and pi/2 both give exactly 1/2.  Up to 1e-8,
+    where s^5 and F head for subnormals, it returns the small-cutoff
+    expansion 1 - (8/7) theta4_max^2, exact in double there.
     """
     if not 0.0 < theta4_max <= math.pi:
         raise ValueError(f"theta4_max={theta4_max!r} outside (0, pi]")
-
-    def num_integrand(th: float) -> float:
-        s2 = math.sin(th) ** 2
-        c2 = 1.0 - s2
-        poly = (19.0 / 35.0) * s2 * s2 + 0.4 * s2 * c2 + c2 * c2
-        return poly * s2 * s2
-
-    num = quad(num_integrand, 0.0, theta4_max, epsabs=0.0, epsrel=1e-12, limit=200)[0]
-    den = quad(lambda th: math.sin(th) ** 4, 0.0, theta4_max,
-               epsabs=0.0, epsrel=1e-12, limit=200)[0]
-    return num / den
+    if theta4_max <= 1e-8:
+        return 1.0 - (8.0 / 7.0) * theta4_max * theta4_max
+    f, s = map(float, _sin4_antideriv(theta4_max))
+    return 0.5 + s ** 5 * math.cos(theta4_max) * (0.1 - s * s / 7.0) / f
 
 
 def qutrit_average_fidelity(shared: QutritSharedState, theta4_max: float,
@@ -109,32 +107,18 @@ def qutrit_average_fidelity(shared: QutritSharedState, theta4_max: float,
                             seed: int = 0) -> EstimatorReport:
     """Average fidelity over the restricted ensemble.
 
-    method "exact" evaluates K + (1 - K) <P4> by quadrature (zero reported
-    error); "mc" draws n_samples inputs and averages the pointwise
-    fidelity, reporting the standard error of the mean.
+    method "exact" is the closed form K + (1 - K) <P4> (zero reported
+    error); "mc" is simulate_qutrit's mean over n_samples inputs and the
+    standard error of that mean.
     """
-    k = _cross_sum(shared)
     if method == "exact":
+        k = _cross_sum(shared)
         return EstimatorReport(k + (1.0 - k) * participation_moment(theta4_max),
                                0.0, 0, seed)
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    gen = np.random.default_rng(seed)
-    parts = []
-    for start in range(0, n_samples, _CHUNK):
-        amps = sample_qutrit_inputs(theta4_max, min(_CHUNK, n_samples - start), gen)
-        sq = np.abs(amps) ** 2
-        f = k + (1.0 - k) * (sq * sq).sum(axis=1)
-        mean = float(f.mean())
-        d = f - mean
-        # (count, mean, M2) merged by the simulator's pairwise update;
-        # M3 and M4 are not needed here
-        parts.append((f.size, mean, float((d * d).sum()), 0.0, 0.0))
-    _, mean, m2, _, _ = reduce(_merge, parts)
-    se = math.sqrt(m2 / n_samples) / math.sqrt(n_samples)
-    return EstimatorReport(mean, se, n_samples, seed)
+    rep = simulate_qutrit(shared, theta4_max, n_samples, seed)
+    return EstimatorReport(rep.mean, rep.mean_std_error, n_samples, seed)
 
 
 def qutrit_classical_fidelity(theta4_max: float, method: str = "exact",

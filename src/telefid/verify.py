@@ -23,7 +23,7 @@ from .distributions import cos_moments, density, mean_polar_angle, spread_moment
 from .fidelity import (SubclassicalFidelityWarning, average_fidelity,
                        classical_fidelity, fidelity_second_moment, fidelity_stats,
                        werner_threshold, bd_rank3_threshold)
-from .qutrit import (QutritSharedState, dimensional_advantage,
+from .qutrit import (QutritSharedState, dimensional_advantage, participation_moment,
                      qutrit_average_fidelity, qutrit_classical_fidelity,
                      qutrit_prior_information)
 from .resources import (bell_probabilities_averaged, bell_probabilities_pointwise,
@@ -360,6 +360,16 @@ def _check_sim_qutrit(seed: int, quick: bool):
     return worst <= 4.0, f"6 runs at n={n}: max |z| = {worst:.2f} (tol 4)"
 
 
+def _p4_by_quadrature(theta4_max: float) -> float:
+    """<P4> by 48-node Gauss-Legendre in theta4, (19/35) s^4 + (2/5) s^2 c^2 +
+    c^4 against sin^4, written apart from the closed form and its sin^4 antiderivative."""
+    x, w = np.polynomial.legendre.leggauss(48)
+    s2 = np.sin(0.5 * theta4_max * (x + 1.0)) ** 2
+    c2 = 1.0 - s2
+    w = w * s2 * s2
+    return float((w * ((19.0 / 35.0) * s2 * s2 + 0.4 * s2 * c2 + c2 * c2)).sum() / w.sum())
+
+
 @_check("qutrit-block")
 def _check_qutrit_block(seed: int, quick: bool):
     n = 10 ** 5 if quick else 10 ** 6
@@ -382,11 +392,15 @@ def _check_qutrit_block(seed: int, quick: bool):
     bound = -4.0 * (1.0 - k) * se_gap
     violations = int((df < bound).sum())
 
+    cutoffs = (1e-3, 0.05, 0.3, 0.5, math.pi / 4.0, 1.2, math.pi / 2.0, 2.5, math.pi)
+    p4_err = max(abs(participation_moment(t) - _p4_by_quadrature(t)) for t in cutoffs)
     i_f = qutrit_prior_information(math.pi / 4.0).fractional
-    ok = z_cl <= 4.0 and violations == 0 and abs(i_f - 0.16) <= 0.02
+    ok = z_cl <= 4.0 and violations == 0 and p4_err <= 1e-13 and abs(i_f - 0.16) <= 0.02
     return ok, (f"uniform classical |z| = {z_cl:.2f}; restricted-vs-uniform gain "
                 f"negative at {violations}/{mask.sum()} grid points "
-                f"(min {df.min():.4f}); I_f(pi/4) = {i_f:.4f} (expected 0.16 +- 0.02)")
+                f"(min {df.min():.4f}); <P4> vs Gauss-Legendre = {p4_err:.1e} "
+                f"at {len(cutoffs)} cutoffs (tol 1e-13); "
+                f"I_f(pi/4) = {i_f:.4f} (expected 0.16 +- 0.02)")
 
 
 @_check("dimensional-advantage")

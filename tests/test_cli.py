@@ -146,6 +146,16 @@ class TestQutritCommand:
         _, rows = read_csv(path)
         assert len(rows) == points * (points + 1) // 2
 
+    def test_tiny_cutoff(self, tmp_path):
+        # both quadratures of <P4> used to underflow to 0/0 here
+        code, path = run_cli(["qutrit", "--theta4", "1e-70", "--points", "4"],
+                             tmp_path)
+        assert code == 0
+        _, rows = read_csv(path)
+        assert len(rows) == 10
+        for row in rows:
+            assert math.isclose(float(row[2]), 1.0, abs_tol=1e-15)
+
     def test_eta_mode(self, tmp_path):
         code, path = run_cli(["qutrit", "--eta", "--dim", "2", "--info",
                               "0.16", "--ensemble", "2000", "--seed", "0"],

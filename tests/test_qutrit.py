@@ -1,17 +1,17 @@
 import math
 import tracemalloc
 
-import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from telefid import qutrit
-from telefid.distributions import sample_qutrit_inputs
 from telefid.qutrit import (QutritInput, QutritSharedState,
                             dimensional_advantage, participation_moment,
                             qutrit_average_fidelity, qutrit_classical_fidelity,
                             qutrit_pointwise_fidelity,
                             qutrit_prior_information,
                             theta4_for_fractional_info)
+from telefid.sim import simulate_qutrit
 
 SQ3 = 1.0 / math.sqrt(3.0)
 
@@ -83,6 +83,26 @@ class TestParticipationMoment:
         vals = [participation_moment(t) for t in (0.2, 0.6, 1.0, 1.4)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("theta4", [1e-3, 0.05, 0.2, 0.49, 0.5, 0.51, 0.8,
+                                        1.2, 1.7, 2.2, 2.5, 3.0])
+    def test_matches_quadrature(self, theta4):
+        # the sin^4-marginal average by adaptive quadrature, term by term
+        def num_integrand(th):
+            s2 = math.sin(th) ** 2
+            c2 = 1.0 - s2
+            return ((19.0 / 35.0) * s2 * s2 + 0.4 * s2 * c2 + c2 * c2) * s2 * s2
+
+        num = quad(num_integrand, 0.0, theta4, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        den = quad(lambda th: math.sin(th) ** 4, 0.0, theta4,
+                   epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        assert math.isclose(participation_moment(theta4), num / den, abs_tol=1e-13)
+
+    @pytest.mark.parametrize("theta4", [5e-324, 1e-300, 1e-70, 1e-63, 1e-9])
+    def test_tiny_cutoff_limit(self, theta4):
+        # <P4> = 1 - (8/7) theta^2 + ..., which is 1.0 in double here
+        assert participation_moment(theta4) == 1.0
+        assert qutrit_prior_information(theta4).fractional == 1.0
+
 
 class TestAverageFidelity:
     def test_exact_vs_mc(self):
@@ -107,27 +127,13 @@ class TestAverageFidelity:
         rep = qutrit_average_fidelity(QutritSharedState(1 / 3, 1 / 3), 0.7)
         assert abs(rep.estimate - 1.0) < 1e-12
 
-    @staticmethod
-    def _direct(shared, theta4_max, sizes, seed):
-        # the MC estimator written out over one array of every draw
-        rng = np.random.default_rng(seed)
-        amps = np.concatenate([sample_qutrit_inputs(theta4_max, m, rng) for m in sizes])
-        sq = np.abs(amps) ** 2
-        k = qutrit._cross_sum(shared)
-        f = k + (1.0 - k) * (sq * sq).sum(axis=1)
-        return float(f.mean()), float(f.std() / math.sqrt(len(f)))
-
-    def test_mc_single_chunk_stream(self):
-        shared, n = QutritSharedState(0.5, 0.3), 1 << 17
+    @pytest.mark.parametrize("n", [1 << 17, 3 * 10 ** 5])
+    def test_mc_is_simulate_qutrit(self, n):
+        shared = QutritSharedState(0.6, 0.1)
         rep = qutrit_average_fidelity(shared, 0.9, method="mc", n_samples=n, seed=6)
-        assert (rep.estimate, rep.std_error) == self._direct(shared, 0.9, [n], 6)
-
-    def test_mc_chunks_pool_exactly(self):
-        shared, n = QutritSharedState(0.6, 0.1), 3 * 10 ** 5
-        rep = qutrit_average_fidelity(shared, 0.9, method="mc", n_samples=n, seed=6)
-        mean, se = self._direct(shared, 0.9, [1 << 17, 1 << 17, n - (2 << 17)], 6)
-        assert math.isclose(rep.estimate, mean, rel_tol=1e-14)
-        assert math.isclose(rep.std_error, se, rel_tol=1e-10)
+        sim = simulate_qutrit(shared, 0.9, n, seed=6)
+        assert (rep.estimate, rep.std_error) == (sim.mean, sim.mean_std_error)
+        assert (rep.n_samples, rep.seed) == (n, 6)
 
     def test_mc_memory_is_bounded(self):
         tracemalloc.start()
