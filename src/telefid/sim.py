@@ -1,21 +1,19 @@
-"""Monte Carlo protocol simulators: one kernel per protocol, one driver.
+"""Monte Carlo protocol simulators: each protocol is data, one driver runs it.
 
-A kernel factory contracts a protocol's input-independent operators once
-and returns kernel(n, rng) -> (inputs, num[n, k], p[n, k]): n inputs drawn
-from the ensemble, the probability p_k of each measurement outcome and
-num_k = p_k f_k, f_k the fidelity of the corrected output.  The qubit
-(Bell), qutrit (Weyl) and classical measure-and-prepare (z measurement,
-re-prepare the pole state) protocols all run in full this way.  The qubit
-and qutrit kernels contract their measurement and correction operators
-with the resource into real forms on the real coordinates the protocol
-sees of an input: its Bloch 4-vector for a qubit, its three populations
-|x_i|^2 for a qutrit.  So a chunk's p_k and num_k come from real matmuls,
-not per-sample operator chains.  No kernel uses the closed-form moments,
-so the simulators check them independently.
+A protocol is built once per resource from its measurement and correction
+operators, never from the closed-form moments, as three pieces of data:
+coords(n, rng) -> (inputs, a) draws n inputs and gives the real
+coordinates a[:, j] that the protocol sees of input j; outcome k then has
+probability p_k = P_k . a, P the (K, d) outcome map; and p_k f_k =
+a^T M_k a, f_k the fidelity of the corrected output, M the (K, d, d)
+forms.  The qubit (Bell measurement; a the Bloch 4-vector), qutrit (Weyl
+measurement; a the populations |x_i|^2) and classical measure-and-prepare
+(z measurement; a = (1, cos theta)) protocols all run this way.
 
-`_simulate` reduces any kernel to the moments of the outcome-averaged
-fidelity sum_k num_k, with standard errors, and to the frequencies of
-outcomes drawn from p; `_shots` keeps one record per shot.  Draws come in
+`_simulate` reduces a protocol to the moments, with standard errors, of
+the outcome-summed fidelity sum_k p_k f_k = a^T G a, G = sum_k M_k, and to
+the frequencies of outcomes drawn from p = P a; `_shots` keeps one record
+per shot, with the fidelity a^T M_k a / p_k of its outcome.  Draws come in
 a fixed order: inputs first, then outcomes.  Each chunk gets its own child
 generator from SeedSequence.spawn and returns centred moments, which merge
 in chunk-index order, so results for a given (n_samples, seed) are
@@ -25,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -134,14 +133,13 @@ def _thread_count(threads: int | None) -> int:
 
 
 def _sample_outcomes(p: np.ndarray, rng) -> np.ndarray:
-    """One outcome per row: how many of p's first K - 1 running sums a
-    uniform draw, scaled by the row total, exceeds."""
-    partial = [p[:, 0]]
-    for j in range(1, p.shape[1]):
-        partial.append(partial[-1] + p[:, j])
-    r = rng.random(p.shape[0]) * partial.pop()
-    k = np.zeros(p.shape[0], dtype=np.intp)
-    for c in partial:
+    """One outcome per column of p (K x n), overwritten by its running sums:
+    how many of the first K - 1 a uniform draw, scaled by the last, exceeds."""
+    for j in range(1, len(p)):
+        p[j] += p[j - 1]
+    r = rng.random(p.shape[1]) * p[-1]
+    k = np.zeros(p.shape[1], dtype=np.intp)
+    for c in p[:-1]:
         k += r > c
     return k
 
@@ -161,23 +159,32 @@ def _merge(a, b):
             + 6.0 * dn * dn * (na * na * b2 + nb * nb * a2) + 4.0 * dn * (na * b3 - nb * a3))
 
 
-def _simulate(kernel, n_outcomes: int, n_samples: int, seed: int,
+_Protocol = namedtuple("_Protocol", "coords outcomes forms")
+
+
+def _simulate(protocol: _Protocol, n_samples: int, seed: int,
               threads: int | None) -> SimReport:
-    """Fidelity moments and outcome frequencies of `kernel` over n_samples."""
+    """Fidelity moments and outcome frequencies of `protocol` over n_samples."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    coords, outcomes, forms = protocol
+    # G a and p = P a in one (d + K, m) block, big enough that glibc does not trim the heap
+    stacked = np.concatenate((forms.sum(axis=0), outcomes))
+    dim = forms.shape[1]
 
     def chunk(job):
         m, child = job
         rng = np.random.default_rng(child)
-        _, num, p = kernel(m, rng)
-        fbar = num.sum(axis=1)
-        k = _sample_outcomes(p, rng)
+        a = coords(m, rng)[1]
+        gp = stacked @ a
+        gp[:dim] *= a
+        fbar = gp[:dim].sum(axis=0)
+        k = _sample_outcomes(gp[dim:], rng)
         mean = float(fbar.mean())
         d = fbar - mean
         d2 = d * d
         moments = (m, mean, float(d2.sum()), float((d2 * d).sum()), float((d2 * d2).sum()))
-        return moments, np.bincount(k, minlength=n_outcomes)
+        return moments, np.bincount(k, minlength=len(outcomes))
 
     full, rest = divmod(n_samples, _CHUNK)
     sizes = [_CHUNK] * full + [rest] * (rest > 0)
@@ -199,93 +206,81 @@ def _simulate(kernel, n_outcomes: int, n_samples: int, seed: int,
                      tuple((counts / n_samples).tolist()), n_samples, seed)
 
 
-def _shots(kernel, n_runs: int, seed: int, fields) -> list[ProtocolRun]:
+def _shots(protocol: _Protocol, n_runs: int, seed: int, fields) -> list[ProtocolRun]:
     """One ProtocolRun per shot; `fields(inputs)` gives the columns of the
     records' trailing fields (input_direction, input_amplitudes)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    inputs, num, p = kernel(n_runs, rng)
-    k = _sample_outcomes(p, rng)
-    rows = np.arange(n_runs)
-    fid = num[rows, k] / p[rows, k]
+    inputs, a = protocol.coords(n_runs, rng)
+    p = protocol.outcomes @ a
+    k = _sample_outcomes(p.copy(), rng)
+    fid = np.einsum('nij,in,jn->n', protocol.forms[k], a, a) / p[k, np.arange(n_runs)]
     return list(map(ProtocolRun, k.tolist(), fid.tolist(), *fields(inputs)))
 
 
-def _qubit_kernel(shared: CorrelationTensor | StateFamily, dist: InputDistribution):
-    """Qubit protocol kernel; the operators are contracted once per state.
+def _qubit_protocol(shared: CorrelationTensor | StateFamily,
+                    dist: InputDistribution) -> _Protocol:
+    """Bell-measurement teleportation; the operators are contracted once per state.
 
     An input enters only through its Bloch 4-vector a = (1, sin(theta)
     cos(phi), sin(theta) sin(phi), cos(theta)), |chi><chi| = sum_mu a_mu
     PAULI[mu]/2.  Let S_k(X) = <B_k|X x rho|B_k> be Bob's unnormalised
     state after the Bell projection BELL[k] and U_k = CORR[k].  Outcome k
-    then has probability p_k = P_k . a and fidelity term num_k =
-    <chi|U_k S_k U_k^dag|chi> = a^T M_k a, with the real
-    P_k[nu] = Tr S_k(sigma_nu)/2 and
-    M_k[mu, nu] = Tr[sigma_mu U_k S_k(sigma_nu) U_k^dag]/4, stored as
-    m[mu, 4k + nu].  Both are built from BELL, CORR and rho, not from the
-    closed form.  The input directions are the kernel's only draws.
+    then has probability p_k = P_k . a and fidelity term
+    <chi|U_k S_k U_k^dag|chi> = a^T M_k a, with the real P_k[nu] =
+    Tr S_k(sigma_nu)/2 and M_k[mu, nu] = Tr[sigma_mu U_k S_k(sigma_nu)
+    U_k^dag]/4, both built from BELL, CORR and rho.  The input directions
+    are the only draws.
     """
     rho4 = density_matrix(shared).reshape(2, 2, 2, 2)
-    s = np.einsum('kia,nij,abcd,kjc->knbd', BELL.conj(), PAULI, rho4, BELL,
-                  optimize=True)
-    p_mat = 0.5 * np.einsum('knbb->nk', s).real
-    m = 0.25 * np.einsum('mxy,kyb,knbd,kxd->mkn', PAULI, CORR, s, CORR.conj(),
-                         optimize=True).real.reshape(4, 16)
+    s = np.einsum('kia,nij,abcd,kjc->knbd', BELL.conj(), PAULI, rho4, BELL, optimize=True)
+    forms = 0.25 * np.einsum('mxy,kyb,knbd,kxd->kmn', PAULI, CORR, s, CORR.conj(),
+                             optimize=True).real
 
-    def kernel(n: int, rng):
+    def coords(n: int, rng):
         tp = sample_directions(dist, n, rng)
         theta, phi = tp.T
         sin = np.sin(theta)
-        a = np.array((np.ones(n), sin * np.cos(phi), sin * np.sin(phi),
-                      np.cos(theta))).T
-        num = np.einsum('nkv,nv->nk', (a @ m).reshape(n, 4, 4), a)
-        return tp, num, a @ p_mat
-    return kernel
+        return tp, np.array((np.ones(n), sin * np.cos(phi), sin * np.sin(phi),
+                             np.cos(theta)))
+    return _Protocol(coords, 0.5 * np.einsum('knbb->kn', s).real, forms)
 
 
-def _classical_kernel(dist: InputDistribution):
-    """Measure-and-prepare kernel: measure z, re-prepare the pole state |k>.
+def _classical_protocol(dist: InputDistribution) -> _Protocol:
+    """Measure-and-prepare: measure z, re-prepare the pole state |k>.
 
-    Outcome k has p_k = |<k|chi>|^2, (1 + u)/2 for |0> and (1 - u)/2 for
-    |1> with u = cos(theta); |k> has fidelity p_k, so num_k = p_k^2.
+    On a = (1, cos(theta)) outcome k has p_k = |<k|chi>|^2 = P_k . a, P =
+    [[1, 1], [1, -1]]/2, and the re-prepared |k> has fidelity p_k, so
+    M_k = P_k P_k^T.
     """
-    def kernel(n: int, rng):
+    outcomes = 0.5 * np.array([[1.0, 1.0], [1.0, -1.0]])
+
+    def coords(n: int, rng):
         tp = sample_directions(dist, n, rng)
-        u = np.cos(tp[:, 0])
-        # column-major: row sums of a row-major (n, 2) array are ~15x slower
-        p = np.array((0.5 * (1.0 + u), 0.5 * (1.0 - u))).T
-        return tp, p * p, p
-    return kernel
+        return tp, np.array((np.ones(n), np.cos(tp[:, 0])))
+    return _Protocol(coords, outcomes, np.einsum('ki,kj->kij', outcomes, outcomes))
 
 
-def _qutrit_kernel(shared, theta4_max: float):
-    """Qutrit protocol kernel; the operators are contracted once per state.
+def _qutrit_protocol(shared, theta4_max: float) -> _Protocol:
+    """Weyl-measurement teleportation; the operators are contracted once per state.
 
-    Weyl outcome k has p_k = <x|W_k diag(w) W_k^dag|x>/3 and num_k = t_k^2/3,
-    t_k = <x|W_k diag(sqrt w) W_k^dag|x>, w the Schmidt weights.  Z^n
-    commutes with diagonal matrices, so W_k diag(w) W_k^dag =
+    Weyl outcome k has p_k = <x|W_k diag(w) W_k^dag|x>/3 and fidelity term
+    t_k^2/3, t_k = <x|W_k diag(sqrt w) W_k^dag|x>, w the Schmidt weights.
+    Z^n commutes with diagonal matrices, so W_k diag(w) W_k^dag =
     X^m diag(w) X^-m is diagonal and <x|.|x> is linear in the populations
-    v = |x_i|^2.  The diagonals sum_j |W_k[i, j]|^2 w_j of the 18 operators
-    (t_k/sqrt 3, then p_k), built from WEYL and w, not from the closed
-    form, make one real (18, 3) form, and one matmul form @ v evaluates
-    them all.
+    a = |x_i|^2.  The diagonals sum_j |W_k[i, j]|^2 w_j, built from WEYL
+    and w, give P and the rows f_k of t_k/sqrt 3, so M_k = f_k f_k^T.
     """
     weights = np.asarray(shared.weights())
-    form = np.concatenate([
-        np.einsum('kij,j,kij->ki', WEYL, np.sqrt(weights / 3.0), WEYL.conj()),
-        np.einsum('kij,j,kij->ki', WEYL, weights / 3.0, WEYL.conj())]).real
+    f, outcomes = (np.einsum('kij,j,kij->ki', WEYL, w, WEYL.conj()).real
+                   for w in (np.sqrt(weights / 3.0), weights / 3.0))
 
-    def kernel(n: int, rng):
+    def coords(n: int, rng):
         amps = sample_qutrit_inputs(theta4_max, n, rng)
-        # one row per population: long contiguous rows keep numpy's loops
-        # fast, and num and p come out column-major like _classical_kernel's
-        re, im = amps.real.T, amps.imag.T
-        v = np.empty((3, n))
-        np.multiply(re, re, out=v)
-        v += im * im
-        tp = form @ v
-        tp[:9] *= tp[:9]
-        return amps, tp[:9].T, tp[9:].T
-    return kernel
+        # one contiguous row per population keeps numpy's loops fast
+        v = np.square(amps.real.T, order='C')
+        v += np.square(amps.imag.T)
+        return amps, v
+    return _Protocol(coords, outcomes, np.einsum('ki,kj->kij', f, f))
 
 
 def simulate_qubit(shared: CorrelationTensor | StateFamily, dist: InputDistribution,
@@ -297,13 +292,13 @@ def simulate_qubit(shared: CorrelationTensor | StateFamily, dist: InputDistribut
     sum_k p_k f_k, so `deviation` estimates the spread over inputs that
     the closed-form moments describe, not shot noise of outcomes.
     """
-    return _simulate(_qubit_kernel(shared, dist), 4, n_samples, seed, threads)
+    return _simulate(_qubit_protocol(shared, dist), n_samples, seed, threads)
 
 
 def qubit_runs(shared: CorrelationTensor | StateFamily, dist: InputDistribution,
                n_runs: int, seed: int = 0) -> list[ProtocolRun]:
     """Shot-level records: sampled outcome and its conditional fidelity."""
-    return _shots(_qubit_kernel(shared, dist), n_runs, seed,
+    return _shots(_qubit_protocol(shared, dist), n_runs, seed,
                   lambda tp: [map(BlochDirection, *tp.T.tolist())])
 
 
@@ -314,17 +309,17 @@ def simulate_classical(dist: InputDistribution, n_samples: int, seed: int = 0,
     Per-input outcome-averaged fidelity is 1 - sin^2(theta)/2; outcome
     frequencies are the two z results.
     """
-    return _simulate(_classical_kernel(dist), 2, n_samples, seed, threads)
+    return _simulate(_classical_protocol(dist), n_samples, seed, threads)
 
 
 def simulate_qutrit(shared, theta4_max: float, n_samples: int, seed: int = 0,
                     threads: int | None = None) -> SimReport:
     """Simulate the qutrit protocol with a Weyl-operator measurement."""
-    return _simulate(_qutrit_kernel(shared, theta4_max), 9, n_samples, seed, threads)
+    return _simulate(_qutrit_protocol(shared, theta4_max), n_samples, seed, threads)
 
 
 def qutrit_runs(shared, theta4_max: float, n_runs: int,
                 seed: int = 0) -> list[ProtocolRun]:
     """Shot-level qutrit records, one Weyl outcome per run."""
-    return _shots(_qutrit_kernel(shared, theta4_max), n_runs, seed,
+    return _shots(_qutrit_protocol(shared, theta4_max), n_runs, seed,
                   lambda amps: [repeat(None), zip(*amps.T.tolist())])

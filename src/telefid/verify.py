@@ -17,18 +17,19 @@ import numpy as np
 
 from .core import (BellDiagonal, BlochDirection, CorrelationTensor, InputDistribution,
                    PolarCap, PureSchmidt, Uniform, VonMisesFisher, Werner,
-                   concurrence)
+                   concurrence, correlation_tensor)
 from .compare import match_by_classical_fidelity, match_by_mean_angle, delta_stats
 from .distributions import cos_moments, density, mean_polar_angle, spread_moments
 from .fidelity import (SubclassicalFidelityWarning, average_fidelity,
                        classical_fidelity, fidelity_second_moment, fidelity_stats,
                        werner_threshold, bd_rank3_threshold)
-from .qutrit import (QutritSharedState, dimensional_advantage, participation_moment,
-                     qutrit_average_fidelity, qutrit_classical_fidelity,
-                     qutrit_prior_information)
+from .qutrit import (QutritSharedState, _cross_sum, dimensional_advantage,
+                     participation_moment, qutrit_average_fidelity,
+                     qutrit_classical_fidelity, qutrit_prior_information)
 from .resources import (bell_probabilities_averaged, bell_probabilities_pointwise,
                         cc_cost, required_entanglement)
-from .sim import simulate_classical, simulate_qubit, simulate_qutrit
+from .sim import (_qubit_protocol, _qutrit_protocol, simulate_classical, simulate_qubit,
+                  simulate_qutrit)
 
 
 @dataclass(frozen=True)
@@ -316,8 +317,12 @@ def _sim_families():
 def _check_sim_qubit(seed: int, quick: bool):
     n = 10 ** 5 if quick else 10 ** 6
     dists = (PolarCap(2.0 * math.pi / 5.0), VonMisesFisher(2.5), Uniform())
-    worst_z, flat_worst, count = 0.0, 0.0, 0
+    worst_z, flat_worst, count, g_err = 0.0, 0.0, 0, 0.0
     for i, fam in enumerate(_sim_families()):
+        # the outcome-summed form sum_k M_k is diag(1, -t1, -t2, -t3)/2
+        t1, t2, t3 = correlation_tensor(fam).as_tuple()
+        gram = _qubit_protocol(fam, Uniform()).forms.sum(axis=0)
+        g_err = max(g_err, float(np.abs(gram - 0.5 * np.diag([1.0, -t1, -t2, -t3])).max()))
         for j, dist in enumerate(dists):
             st = fidelity_stats(fam, dist)
             rep = simulate_qubit(fam, dist, n, seed=seed + 31 * i + j)
@@ -330,9 +335,10 @@ def _check_sim_qubit(seed: int, quick: bool):
             else:
                 worst_z = max(worst_z, abs(rep.mean - st.mean) / rep.mean_std_error,
                               abs(rep.deviation - st.deviation) / rep.deviation_std_error)
-    ok = worst_z <= 4.0 and flat_worst <= 1e-6
+    ok = worst_z <= 4.0 and flat_worst <= 1e-6 and g_err <= 1e-14
     return ok, (f"{count} runs at n={n}: max |z| = {worst_z:.2f} (tol 4); "
-                f"degenerate-case residual = {flat_worst:.1e}")
+                f"degenerate-case residual = {flat_worst:.1e}; "
+                f"sum_k M_k vs closed form = {g_err:.1e} (tol 1e-14)")
 
 
 @_check("sim-oracle-classical")
@@ -349,15 +355,21 @@ def _check_sim_classical(seed: int, quick: bool):
 def _check_sim_qutrit(seed: int, quick: bool):
     n = 10 ** 5 if quick else 10 ** 6
     rng = np.random.default_rng(seed + 5)
-    worst = 0.0
+    worst, g_err = 0.0, 0.0
     for i in range(3):
         w = rng.dirichlet((1.0, 1.0, 1.0))
         shared = QutritSharedState(float(w[0]), float(w[1]))
+        # the outcome-summed form sum_k f_k f_k^T is K J + (1 - K) I
+        k = _cross_sum(shared)
+        gram = _qutrit_protocol(shared, math.pi).forms.sum(axis=0)
+        g_err = max(g_err, float(np.abs(gram - (1.0 - k) * np.eye(3) - k).max()))
         for j, t4 in enumerate((math.pi, math.pi / 4.0)):
             exact = qutrit_average_fidelity(shared, t4).estimate
             rep = simulate_qutrit(shared, t4, n, seed=seed + 7 * i + j)
             worst = max(worst, abs(rep.mean - exact) / rep.mean_std_error)
-    return worst <= 4.0, f"6 runs at n={n}: max |z| = {worst:.2f} (tol 4)"
+    ok = worst <= 4.0 and g_err <= 1e-14
+    return ok, (f"6 runs at n={n}: max |z| = {worst:.2f} (tol 4); "
+                f"sum_k M_k vs closed form = {g_err:.1e} (tol 1e-14)")
 
 
 def _p4_by_quadrature(theta4_max: float) -> float:
@@ -380,25 +392,17 @@ def _check_qutrit_block(seed: int, quick: bool):
     res = qutrit_classical_fidelity(math.pi / 4.0, method="mc", n_samples=m_n,
                                     seed=seed + 3)
     # the K = 0 fidelity is P4, so these are the restricted and uniform <P4>
+    # F_restricted - F_uniform = (1 - K) gap with 1 - K >= 0 for every
+    # resource, so no resource loses by the restriction iff gap >= -4 se
     gap = res.estimate - rep.estimate
-    se_gap = math.hypot(res.std_error, rep.std_error)
-    g = 50
-    aa, bb = np.meshgrid(np.linspace(0.002, 0.996, g), np.linspace(0.002, 0.996, g))
-    mask = aa + bb <= 0.998
-    a, b = aa[mask], bb[mask]
-    r = 1.0 - a - b
-    k = np.sqrt(a * b) + np.sqrt(a * r) + np.sqrt(b * r)
-    df = (1.0 - k) * gap
-    bound = -4.0 * (1.0 - k) * se_gap
-    violations = int((df < bound).sum())
+    bound = -4.0 * math.hypot(res.std_error, rep.std_error)
 
     cutoffs = (1e-3, 0.05, 0.3, 0.5, math.pi / 4.0, 1.2, math.pi / 2.0, 2.5, math.pi)
     p4_err = max(abs(participation_moment(t) - _p4_by_quadrature(t)) for t in cutoffs)
     i_f = qutrit_prior_information(math.pi / 4.0).fractional
-    ok = z_cl <= 4.0 and violations == 0 and p4_err <= 1e-13 and abs(i_f - 0.16) <= 0.02
-    return ok, (f"uniform classical |z| = {z_cl:.2f}; restricted-vs-uniform gain "
-                f"negative at {violations}/{mask.sum()} grid points "
-                f"(min {df.min():.4f}); <P4> vs Gauss-Legendre = {p4_err:.1e} "
+    ok = z_cl <= 4.0 and gap >= bound and p4_err <= 1e-13 and abs(i_f - 0.16) <= 0.02
+    return ok, (f"uniform classical |z| = {z_cl:.2f}; restricted-vs-uniform <P4> gap "
+                f"= {gap:.4f} (bound {bound:.4f}); <P4> vs Gauss-Legendre = {p4_err:.1e} "
                 f"at {len(cutoffs)} cutoffs (tol 1e-13); "
                 f"I_f(pi/4) = {i_f:.4f} (expected 0.16 +- 0.02)")
 

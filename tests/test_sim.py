@@ -9,8 +9,8 @@ from telefid.fidelity import classical_fidelity, fidelity_stats
 from telefid.qutrit import (QutritSharedState, qutrit_average_fidelity)
 from telefid.resources import bell_probabilities_averaged
 from telefid import sim
-from telefid.sim import (BELL, CORR, WEYL, _classical_kernel, _merge, _qubit_kernel,
-                         _qutrit_kernel, density_matrix, qubit_runs, qutrit_runs,
+from telefid.sim import (BELL, CORR, WEYL, _classical_protocol, _merge, _qubit_protocol,
+                         _qutrit_protocol, density_matrix, qubit_runs, qutrit_runs,
                          simulate_classical, simulate_qubit, simulate_qutrit)
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -22,6 +22,18 @@ _I2 = np.eye(2)
 def _z_score(estimate, truth, se):
     assert se > 0.0
     return abs(estimate - truth) / se
+
+
+def _evaluate(protocol, n, seed):
+    """(inputs, num[n, K], p[n, K]) from a protocol's data: num_k = a^T M_k a
+    and p = P a at the coordinates a of n inputs drawn with `seed`."""
+    inputs, a = protocol.coords(n, np.random.default_rng(seed))
+    return (inputs, np.einsum('kij,in,jn->nk', protocol.forms, a, a),
+            (protocol.outcomes @ a).T)
+
+
+def _qubit_ket(theta, phi):
+    return np.array([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)])
 
 
 class TestDensityMatrix:
@@ -90,12 +102,10 @@ class TestKernelAgainstProtocolChain:
     ])
     @pytest.mark.parametrize("dist", [Uniform(), PolarCap(1.2)])
     def test_matches_explicit_chain(self, state, dist):
-        tp, num, p = _qubit_kernel(state, dist)(64, np.random.default_rng(29))
+        tp, num, p = _evaluate(_qubit_protocol(state, dist), 64, 29)
         rho = density_matrix(state)
         for n, (theta, phi) in enumerate(tp):
-            chi = np.array([math.cos(theta / 2),
-                            np.exp(1j * phi) * math.sin(theta / 2)])
-            p_ref, num_ref = self._chain(chi, rho)
+            p_ref, num_ref = self._chain(_qubit_ket(theta, phi), rho)
             assert np.allclose(p[n], p_ref, rtol=0.0, atol=1e-14)
             assert np.allclose(num[n], num_ref, rtol=0.0, atol=1e-14)
         assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
@@ -129,7 +139,7 @@ class TestQutritKernelAgainstProtocolChain:
             return g / np.linalg.norm(g, axis=1, keepdims=True)
         monkeypatch.setattr(sim, "sample_qutrit_inputs", haar_inputs)
         shared = QutritSharedState(*weights)
-        amps, num, p = _qutrit_kernel(shared, math.pi)(64, np.random.default_rng(37))
+        amps, num, p = _evaluate(_qutrit_protocol(shared, math.pi), 64, 37)
         assert np.abs(amps[:, 1:].imag).min() > 0.0
         for n, x in enumerate(amps):
             p_ref, num_ref = self._chain(x, shared.weights())
@@ -140,8 +150,8 @@ class TestQutritKernelAgainstProtocolChain:
 
 class TestWeylFormsDiagonal:
     def test_off_diagonal_entries_are_zero(self):
-        # X^m Z^n diag(w) Z^-n X^-m = X^m diag(w) X^-m: the qutrit kernel's
-        # (18, 3) form keeps only the diagonals
+        # X^m Z^n diag(w) Z^-n X^-m = X^m diag(w) X^-m: the qutrit protocol's
+        # forms keep only the diagonals
         rng = np.random.default_rng(41)
         for _ in range(20):
             w = rng.random(3)
@@ -155,8 +165,8 @@ class TestProductResourceIsClassical:
 
     @pytest.mark.parametrize("dist", [Uniform(), PolarCap(0.8), VonMisesFisher(4.0)])
     def test_matches_classical_kernel(self, dist):
-        tp, num, p = _qubit_kernel(PureSchmidt(0.0), dist)(256, np.random.default_rng(43))
-        tp_cl, num_cl, p_cl = _classical_kernel(dist)(256, np.random.default_rng(43))
+        tp, num, p = _evaluate(_qubit_protocol(PureSchmidt(0.0), dist), 256, 43)
+        tp_cl, num_cl, p_cl = _evaluate(_classical_protocol(dist), 256, 43)
         assert np.array_equal(tp, tp_cl)
         assert np.allclose(num.sum(axis=1), num_cl.sum(axis=1), rtol=0.0, atol=1e-15)
         # the input's |0> component pairs with Alice's |1> only in psi+-
@@ -164,15 +174,14 @@ class TestProductResourceIsClassical:
 
 
 class TestClassicalKernelAgainstProtocolChain:
-    """The measure-and-prepare kernel reproduces the protocol run per input."""
+    """The measure-and-prepare forms reproduce the protocol run per input."""
 
     @pytest.mark.parametrize("dist", [Uniform(), PolarCap(0.8), VonMisesFisher(4.0)])
     def test_matches_explicit_chain(self, dist):
-        tp, num, p = _classical_kernel(dist)(64, np.random.default_rng(31))
+        tp, num, p = _evaluate(_classical_protocol(dist), 64, 31)
         basis = np.eye(2)
         for n, (theta, phi) in enumerate(tp):
-            chi = np.array([math.cos(theta / 2),
-                            np.exp(1j * phi) * math.sin(theta / 2)])
+            chi = _qubit_ket(theta, phi)
             rho = np.outer(chi, chi.conj())
             for k, ket in enumerate(basis):
                 # measure z with projector |k><k|, then re-prepare |k>
@@ -183,6 +192,60 @@ class TestClassicalKernelAgainstProtocolChain:
                 assert abs(p[n, k] - p_ref) <= 1e-14
                 assert abs(num[n, k] - num_ref) <= 1e-14
         assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+
+
+class TestOutcomeSums:
+    """sum_k M_k, the form of the outcome-summed fidelity, is its closed form."""
+
+    @pytest.mark.parametrize("state", [
+        PureSchmidt(0.2),
+        PureSchmidt(0.0),
+        Werner(0.7),
+        BellDiagonal((0.5, 0.3, 0.15, 0.05)),
+        CorrelationTensor(0.3, -0.5, 0.2),
+    ])
+    def test_qubit(self, state):
+        t = correlation_tensor(state).as_tuple()
+        gram = _qubit_protocol(state, Uniform()).forms.sum(axis=0)
+        want = 0.5 * np.diag([1.0, -t[0], -t[1], -t[2]])
+        assert np.allclose(gram, want, rtol=0.0, atol=1e-15)
+
+    def test_qutrit(self):
+        # sum_k f_k f_k^T = K J + (1 - K) I: f = K + (1 - K) P4 on populations
+        rng = np.random.default_rng(47)
+        for w in rng.dirichlet((1.0, 1.0, 1.0), size=8):
+            shared = QutritSharedState(w[0], w[1])
+            gram = _qutrit_protocol(shared, math.pi).forms.sum(axis=0)
+            a, b, r = shared.weights()
+            k = math.sqrt(a * b) + math.sqrt(a * r) + math.sqrt(b * r)
+            want = k * np.ones((3, 3)) + (1.0 - k) * np.eye(3)
+            assert np.allclose(gram, want, rtol=0.0, atol=1e-15)
+
+    def test_classical(self):
+        gram = _classical_protocol(Uniform()).forms.sum(axis=0)
+        assert np.array_equal(gram, 0.5 * np.eye(2))
+
+
+class TestShotFidelityAgainstProtocolChain:
+    """A shot's fidelity is the chain's num_k / p_k at its recorded outcome."""
+
+    def test_qubit(self):
+        state = BellDiagonal((0.5, 0.3, 0.15, 0.05))
+        rho = density_matrix(state)
+        for run in qubit_runs(state, PolarCap(1.2), 64, seed=53):
+            d = run.input_direction
+            p_ref, num_ref = TestKernelAgainstProtocolChain._chain(
+                _qubit_ket(d.theta, d.phi), rho)
+            k = run.bell_outcome
+            assert abs(run.output_fidelity - num_ref[k] / p_ref[k]) <= 1e-14
+
+    def test_qutrit(self):
+        shared = QutritSharedState(0.5, 0.3)
+        for run in qutrit_runs(shared, math.pi, 64, seed=59):
+            p_ref, num_ref = TestQutritKernelAgainstProtocolChain._chain(
+                np.array(run.input_amplitudes), shared.weights())
+            k = run.bell_outcome
+            assert abs(run.output_fidelity - num_ref[k] / p_ref[k]) <= 1e-14
 
 
 class TestMomentMerge:
