@@ -8,7 +8,6 @@ resource tensor.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -56,11 +55,6 @@ class ComparisonRow:
     delta_d: float
 
 
-@functools.lru_cache(maxsize=1)
-def _vmf_min_mean_angle() -> float:
-    return mean_polar_angle(VonMisesFisher(KAPPA_MAX))
-
-
 def cap_theta0_for_classical_fidelity(target: float) -> float:
     """Invert F_cl(theta0) = target on the branch theta0 in (0, pi/2].
 
@@ -100,11 +94,11 @@ def match_by_mean_angle(target: float) -> MatchedPair:
         raise ValueError(f"mean angle target {target!r} outside (0, pi/2]")
     if abs(target - 0.5 * math.pi) < 1e-14:
         return MatchedPair(math.pi, 0.0, MatchCriterion.MEAN_POLAR_ANGLE, 0.5 * math.pi)
-    if target < _vmf_min_mean_angle():
+    floor = mean_polar_angle(VonMisesFisher(KAPPA_MAX))
+    if target < floor:
         raise ValueError(
-            f"mean angle target {target!r} below "
-            f"{_vmf_min_mean_angle():.6f}, the smallest reachable with "
-            f"kappa <= {KAPPA_MAX:g}")
+            f"mean angle target {target!r} below {floor:.6f}, the smallest "
+            f"reachable with kappa <= {KAPPA_MAX:g}")
     theta0 = brentq(
         lambda t: mean_polar_angle(PolarCap(t)) - target,
         1e-9, math.pi, xtol=_XTOL)

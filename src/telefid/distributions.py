@@ -3,10 +3,10 @@ cosine moments and samplers.
 
 Everything downstream (average fidelity, deviations, thresholds, resource
 costs) reduces to the first four moments of cos(theta) under the input
-density.  Each distribution class computes those moments itself, in
-closed form with numerically stable branches, next to its density, mean
-polar angle and sampler; the module functions are the public entry points
-and call into the class.  Uniform is the kappa = 0 von Mises-Fisher.
+density.  Each distribution class computes those moments itself, in closed
+form with numerically stable branches, next to its density, mean polar angle
+(also closed form: nothing here integrates numerically) and sampler.  The
+module functions call into the class.  Uniform is the kappa = 0 vMF.
 
 Also hosts the qutrit input measure: the unit sphere S^5 written as
 (sin(theta4) w, cos(theta4)) with w a uniform point on S^4 and theta4 of
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import i0e
 
 if TYPE_CHECKING:
     from .core import BlochDirection
@@ -32,6 +32,14 @@ if TYPE_CHECKING:
 # there; both branches agree to < 1e-12 relative at the seam (checked against
 # 50-digit arithmetic).
 _SERIES_CROSSOVER = 0.25
+
+# vMF <theta> = pi (I0(k) - e^-k) / (2 sinh k), by parts with int_0^pi e^{k cos}
+# = pi I0(k) (A&S 9.6.16).  Below the cut I0 - e^-k cancels (i0e's few-ulp error
+# alone costs 3e-15 at 0.25), so a Taylor series good to 2e-20 there takes over.
+_VMF_ANGLE_SERIES_CUT = 1.0
+_VMF_ANGLE_SERIES = tuple(
+    (1 / (4 ** (n // 2) * math.factorial(n // 2) ** 2) if n % 2 == 0 else 0.0)
+    - (-1) ** n / math.factorial(n) for n in range(20, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -182,17 +190,14 @@ class VonMisesFisher(InputDistribution):
 
     def mean_polar_angle(self) -> float:
         k = self.kappa
-        if k == 0.0:
-            return 0.5 * math.pi
-        # integrate in theta; the weight e^{kappa(cos-1)} stays in [0,1]
-        w = lambda th: math.sin(th) * math.exp(k * (math.cos(th) - 1.0))
-        cut = min(math.pi, 30.0 / math.sqrt(k) if k > 100.0 else math.pi)
-        num = quad(lambda th: th * w(th), 0.0, cut, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
-        den = quad(w, 0.0, cut, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
-        if cut < math.pi:
-            num += quad(lambda th: th * w(th), cut, math.pi, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
-            den += quad(w, cut, math.pi, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
-        return num / den
+        if k < _VMF_ANGLE_SERIES_CUT:
+            s = 0.0
+            for coef in _VMF_ANGLE_SERIES:
+                s = s * k + coef
+            # sinh(k)/k, not pi k: no subnormal product, and pi/2 at kappa = 0
+            return 0.5 * math.pi * s / (math.sinh(k) / k if k else 1.0)
+        # scaled by e^{-kappa}: nothing overflows
+        return math.pi * float(i0e(k) - math.exp(-2.0 * k)) / -math.expm1(-2.0 * k)
 
     def cos_inverse_cdf(self, v: np.ndarray) -> np.ndarray:
         k = self.kappa
@@ -238,7 +243,8 @@ def density(dist: InputDistribution, direction: BlochDirection) -> float:
 
 
 def mean_polar_angle(dist: InputDistribution) -> float:
-    """<theta> under the input distribution.  pi/2 for the uniform sphere."""
+    """<theta> in closed form, (sin t0 - t0 cos t0) / (1 - cos t0) for a cap and
+    pi (I0(kappa) - e^-kappa) / (2 sinh kappa) for a vMF; pi/2 exactly if uniform."""
     return dist.mean_polar_angle()
 
 
@@ -277,12 +283,11 @@ _NEWTON_STEPS = 4
 def _sin4_antideriv(theta):
     """(F(theta), sin(theta)), F the antiderivative of sin^4 on [0, pi] with
     F(0) = 0, vectorized; the Newton steps take F' = sin^4 from the second."""
-    theta = np.asarray(theta, dtype=float)
     s, c = np.sin(theta), np.cos(theta)
     # 3 theta/8 - sin(2 theta)/4 + sin(4 theta)/32 in sin and cos of theta
     closed = 0.375 * (theta - s * c) - 0.25 * s * s * s * c
     t2 = theta * theta
-    series = np.full_like(theta, _SIN4_SERIES[0])
+    series = _SIN4_SERIES[0]
     for coef in _SIN4_SERIES[1:]:
         series *= t2
         series += coef

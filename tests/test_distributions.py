@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,19 +122,48 @@ class TestMeanPolarAngle:
         assert math.isclose(mean_polar_angle(PolarCap(theta0)), expected,
                             rel_tol=1e-12)
 
+    # pi (I0(kappa) - e^{-kappa}) / (2 sinh kappa) in 50-digit arithmetic,
+    # on both sides of the series cut and far into the concentrated tail
     @pytest.mark.parametrize("kappa,expected", [
+        (1e-8, 1.57079632286790580),
+        (1e-3, 1.57040362773774159),
+        (0.2499, 1.47304161629875430),
+        (0.2501, 1.47296398789464625),
         (0.5, 1.37744407296612828),
+        (0.9999, 1.20056604283517185),
+        (1.0001, 1.20050019778820218),
         (2.0, 0.92867650666785195),
         (10.0, 0.401600267268949178),
         (100.0, 0.125488968558246353),
+        (1e3, 0.0396382299248039054),
+        (1e4, 0.0125332980462354501),
     ])
     def test_vmf(self, kappa, expected):
         assert math.isclose(mean_polar_angle(VonMisesFisher(kappa)), expected,
-                            rel_tol=1e-12)
+                            rel_tol=1e-14)
 
     def test_uniform(self):
-        assert math.isclose(mean_polar_angle(Uniform()), math.pi / 2,
-                            rel_tol=1e-15)
+        assert (mean_polar_angle(VonMisesFisher(0.0)) == mean_polar_angle(Uniform())
+                == 0.5 * math.pi)
+
+    def test_vmf_decreasing_and_finite(self):
+        kappas = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-12, 1e4, 2000)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            angles = [mean_polar_angle(VonMisesFisher(float(k))) for k in kappas]
+        assert angles[0] == 0.5 * math.pi
+        assert all(0.0 < b <= a for a, b in zip(angles, angles[1:]))
+
+
+def test_import_leaves_out_numerical_integration():
+    # a fresh interpreter: other test modules import scipy.integrate themselves
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, telefid; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestDensity:
@@ -244,6 +278,14 @@ class TestSin4Antiderivative:
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
         assert math.isclose(float(_sin4_antideriv(math.pi)[0]), 0.375 * math.pi,
                             rel_tol=1e-15)
+
+    def test_scalar_matches_array(self):
+        thetas = [1e-3, 0.4999, 0.5, 1.3, math.pi]
+        f_arr, s_arr = _sin4_antideriv(np.array(thetas))
+        for i, theta in enumerate(thetas):
+            f, s = _sin4_antideriv(theta)
+            assert np.ndim(f) == 0 and np.ndim(s) == 0
+            assert f == f_arr[i] and s == s_arr[i]
 
     @pytest.mark.parametrize("theta4_max", [math.pi, 2.5, math.pi / 2, 0.3, 0.05, 1e-4])
     def test_newton_inversion(self, theta4_max):
