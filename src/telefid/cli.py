@@ -189,7 +189,8 @@ def cmd_qutrit(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    ok, text = run_verification(seed=args.seed, quick=args.quick)
+    ok, text = run_verification(seed=args.seed, quick=args.quick,
+                                timings=sys.stderr if args.timings else None)
     if args.out == "-":
         sys.stdout.write(text)
     else:
@@ -268,6 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     vf = subs.add_parser("verify", help="run the self-check suite")
     vf.add_argument("--quick", action="store_true",
                     help="smaller Monte Carlo sizes, same checks")
+    vf.add_argument("--timings", action="store_true",
+                    help="print each check's wall and CPU seconds to stderr")
     _add_output_flags(vf)
     vf.set_defaults(func=cmd_verify)
     return parser

@@ -17,7 +17,9 @@ per shot, with the fidelity a^T M_k a / p_k of its outcome.  Draws come in
 a fixed order: inputs first, then outcomes.  Each chunk gets its own child
 generator from SeedSequence.spawn and returns centred moments, which merge
 in chunk-index order, so results for a given (n_samples, seed) are
-identical for any thread count (TELEFID_THREADS env var, else 1).
+identical for any thread count (TELEFID_THREADS env var, else 1).  The
+chunk threads are the only parallelism: each chunk's matrix products stay
+on its own thread (`_matmul`).
 """
 from __future__ import annotations
 
@@ -37,6 +39,10 @@ from .distributions import sample_directions, sample_qutrit_inputs
 from .fidelity import _components
 
 _CHUNK = 1 << 17
+# OpenBLAS splits a dgemm of more than 65536 * 4 multiply-adds over its threads,
+# whose spare threads then spin; a (K, d) form here has K * d <= 36, so a block
+# of up to _BLOCK + 1 columns stays on the calling thread
+_BLOCK = 4096
 
 _S2 = 1.0 / math.sqrt(2.0)
 # Bell basis rows in outcome order (phi+, phi-, psi+, psi-); BELL[k, i, a]
@@ -132,6 +138,22 @@ def _thread_count(threads: int | None) -> int:
     return max(1, int(os.environ.get("TELEFID_THREADS", "1") or "1"))
 
 
+def _matmul(form: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """form @ a, one column block of about _BLOCK at a time into a single
+    preallocated output, so each product runs on the calling thread only.
+
+    A lone last column joins the block before it: on its own it would run as
+    a matrix-vector product, whose sums round differently.
+    """
+    n = a.shape[1]
+    out = np.empty((form.shape[0], n))
+    lo = 0
+    for hi in (*range(_BLOCK, n - 1, _BLOCK), n):
+        np.matmul(form, a[:, lo:hi], out=out[:, lo:hi])
+        lo = hi
+    return out
+
+
 def _sample_outcomes(p: np.ndarray, rng) -> np.ndarray:
     """One outcome per column of p (K x n), overwritten by its running sums:
     how many of the first K - 1 a uniform draw, scaled by the last, exceeds."""
@@ -176,7 +198,7 @@ def _simulate(protocol: _Protocol, n_samples: int, seed: int,
         m, child = job
         rng = np.random.default_rng(child)
         a = coords(m, rng)[1]
-        gp = stacked @ a
+        gp = _matmul(stacked, a)
         gp[:dim] *= a
         fbar = gp[:dim].sum(axis=0)
         k = _sample_outcomes(gp[dim:], rng)
@@ -211,7 +233,7 @@ def _shots(protocol: _Protocol, n_runs: int, seed: int, fields) -> list[Protocol
     records' trailing fields (input_direction, input_amplitudes)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     inputs, a = protocol.coords(n_runs, rng)
-    p = protocol.outcomes @ a
+    p = _matmul(protocol.outcomes, a)
     k = _sample_outcomes(p.copy(), rng)
     fid = np.einsum('nij,in,jn->n', protocol.forms[k], a, a) / p[k, np.arange(n_runs)]
     return list(map(ProtocolRun, k.tolist(), fid.tolist(), *fields(inputs)))
@@ -239,9 +261,13 @@ def _qubit_protocol(shared: CorrelationTensor | StateFamily,
     def coords(n: int, rng):
         tp = sample_directions(dist, n, rng)
         theta, phi = tp.T
-        sin = np.sin(theta)
-        return tp, np.array((np.ones(n), sin * np.cos(phi), sin * np.sin(phi),
-                             np.cos(theta)))
+        a = np.empty((4, n))
+        a[0] = 1.0
+        np.cos(phi, out=a[1])
+        np.sin(phi, out=a[2])
+        a[1:3] *= np.sin(theta)
+        np.cos(theta, out=a[3])
+        return tp, a
     return _Protocol(coords, 0.5 * np.einsum('knbb->kn', s).real, forms)
 
 

@@ -9,9 +9,12 @@ same seed produce byte-identical reports.
 """
 from __future__ import annotations
 
+import functools
 import math
+import time
 import warnings
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -67,11 +70,20 @@ def _oracle_shape(dist: InputDistribution) -> tuple[float, float]:
     raise TypeError(f"no quadrature oracle for {dist!r}")
 
 
+@functools.cache
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, computed once
+    per order: each is a LAPACK eigensolve that OpenBLAS runs on several threads."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _polar_nodes(dist: InputDistribution, order: int = 96):
     """Gauss-Legendre nodes in u = cos(theta) with normalized weights."""
     a, kappa = _oracle_shape(dist)
     b = 1.0
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _leggauss(order)
     u = 0.5 * (a + b) + 0.5 * (b - a) * x
     if kappa > 0.0:
         w = w * np.exp(kappa * (u - 1.0))
@@ -93,7 +105,7 @@ def _check_density_norm(seed: int, quick: bool):
     worst, where = 0.0, ""
     for dist in _DIST_GRID:
         a, b = _oracle_shape(dist)[0], 1.0
-        x, w = np.polynomial.legendre.leggauss(96)
+        x, w = _leggauss(96)
         u = 0.5 * (a + b) + 0.5 * (b - a) * x
         w = 0.5 * (b - a) * w
         vals = np.array([density(dist, BlochDirection(math.acos(min(1.0, max(-1.0, ui))), 0.3))
@@ -126,7 +138,7 @@ def _check_mean_angle(seed: int, quick: bool):
     # integrate in theta, where the weight sin(theta) rho(cos theta) is smooth
     # (in u = cos theta, arccos has a root singularity at u = 1)
     worst, where = 0.0, ""
-    x, w = np.polynomial.legendre.leggauss(160)
+    x, w = _leggauss(160)
     for dist in _DIST_GRID:
         a, kappa = _oracle_shape(dist)
         hi = math.acos(max(-1.0, a))
@@ -375,7 +387,7 @@ def _check_sim_qutrit(seed: int, quick: bool):
 def _p4_by_quadrature(theta4_max: float) -> float:
     """<P4> by 48-node Gauss-Legendre in theta4, (19/35) s^4 + (2/5) s^2 c^2 +
     c^4 against sin^4, written apart from the closed form and its sin^4 antiderivative."""
-    x, w = np.polynomial.legendre.leggauss(48)
+    x, w = _leggauss(48)
     s2 = np.sin(0.5 * theta4_max * (x + 1.0)) ** 2
     c2 = 1.0 - s2
     w = w * s2 * s2
@@ -466,12 +478,21 @@ def run_check(name: str, seed: int = 0, quick: bool = False) -> CheckResult:
     return CheckResult(name, passed, detail)
 
 
-def run_verification(seed: int = 0, quick: bool = False) -> tuple[bool, str]:
-    """Run every check; returns (all_passed, deterministic report text)."""
+def run_verification(seed: int = 0, quick: bool = False,
+                     timings: TextIO | None = None) -> tuple[bool, str]:
+    """Run every check; returns (all_passed, deterministic report text).
+
+    With `timings`, each check's wall and CPU seconds go there as one line
+    (CPU well above wall means helper threads are busy); the report is the same.
+    """
     lines = []
     all_ok = True
     for name in CHECK_NAMES:
+        wall, cpu = time.perf_counter(), time.process_time()
         res = run_check(name, seed=seed, quick=quick)
+        if timings is not None:
+            print(f"{name}: wall {time.perf_counter() - wall:.3f} s, "
+                  f"cpu {time.process_time() - cpu:.3f} s", file=timings)
         all_ok &= res.passed
         lines.append(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
     lines.append("all checks passed" if all_ok

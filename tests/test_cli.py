@@ -5,6 +5,7 @@ import math
 import pytest
 
 from telefid import cli
+from telefid.verify import CHECK_NAMES
 from telefid.core import PolarCap, PureSchmidt
 from telefid.fidelity import classical_fidelity, fidelity_stats
 
@@ -177,6 +178,20 @@ class TestVerifyCommand:
                          "--out", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
         assert b"all checks passed" in p1.read_bytes()
+
+    def test_timings_leave_report_unchanged(self, tmp_path, capsys):
+        plain = tmp_path / "plain.txt"
+        timed = tmp_path / "timed.txt"
+        assert cli.main(["verify", "--quick", "--seed", "5", "--out", str(plain)]) == 0
+        assert capsys.readouterr().err == ""
+        assert cli.main(["verify", "--quick", "--seed", "5", "--timings",
+                         "--out", str(timed)]) == 0
+        assert timed.read_bytes() == plain.read_bytes()
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in lines] == list(CHECK_NAMES)
+        for line in lines:
+            wall, cpu = line.split(": ")[1].split(", ")
+            assert wall.startswith("wall ") and cpu.startswith("cpu ")
 
 
 class TestErrors:

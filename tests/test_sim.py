@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,10 +11,11 @@ from telefid.core import (BellDiagonal, CorrelationTensor, PolarCap, PureSchmidt
 from telefid.fidelity import classical_fidelity, fidelity_stats
 from telefid.qutrit import (QutritSharedState, qutrit_average_fidelity)
 from telefid.resources import bell_probabilities_averaged
-from telefid import sim
-from telefid.sim import (BELL, CORR, WEYL, _classical_protocol, _merge, _qubit_protocol,
-                         _qutrit_protocol, density_matrix, qubit_runs, qutrit_runs,
-                         simulate_classical, simulate_qubit, simulate_qutrit)
+from telefid import sim, verify
+from telefid.sim import (BELL, CORR, WEYL, _BLOCK, _CHUNK, SimReport, _classical_protocol,
+                         _matmul, _merge, _qubit_protocol, _qutrit_protocol,
+                         density_matrix, qubit_runs, qutrit_runs, simulate_classical,
+                         simulate_qubit, simulate_qutrit)
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -392,3 +396,122 @@ class TestValidation:
             simulate_qubit(Werner(0.5), Uniform(), 0)
         with pytest.raises(ValueError):
             simulate_classical(Uniform(), -3)
+
+
+_PROTOCOLS = {
+    "qubit": _qubit_protocol(BellDiagonal((0.4, 0.3, 0.2, 0.1)), VonMisesFisher(2.0)),
+    "qutrit": _qutrit_protocol(QutritSharedState(0.5, 0.3), 1.0),
+    "classical": _classical_protocol(PolarCap(1.2)),
+}
+
+
+class TestBlockedProduct:
+    """Column blocks give the bits of the single product, at every block edge."""
+
+    @pytest.mark.parametrize("columns", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                         _CHUNK + _BLOCK + 1])
+    @pytest.mark.parametrize("name", sorted(_PROTOCOLS))
+    def test_matches_single_product(self, name, columns):
+        protocol = _PROTOCOLS[name]
+        a = protocol.coords(columns, np.random.default_rng(columns))[1]
+        stacked = np.concatenate((protocol.forms.sum(axis=0), protocol.outcomes))
+        for form in (stacked, protocol.outcomes):
+            assert np.array_equal(_matmul(form, a), form @ a)
+
+
+def _close_report(got, want):
+    # vectorised trig may differ in the last bit between CPUs; the draws
+    # themselves, hence the outcome counts, must not
+    assert (got.n_samples, got.seed, got.outcome_frequencies) == \
+        (want.n_samples, want.seed, want.outcome_frequencies)
+    for field in ("mean", "deviation", "mean_std_error", "deviation_std_error"):
+        assert math.isclose(getattr(got, field), getattr(want, field), rel_tol=1e-12)
+
+
+class TestSeededStreams:
+    """Seeded outputs at one chunk plus a block edge and at two uneven chunks."""
+
+    STORED = {
+        4097: (
+            (0.6902632400647194, 0.010041569915280428, 0.00015688038065787192,
+             0.00023425679866958542, (0.24847449353185258, 0.2638515987307786,
+                                      0.23675860385648034, 0.25091530388088845)),
+            (0.6375792803084177, 0.13095165525487545, 0.0020458698886218485,
+             0.0014054772354013705, (0.5372223578227971, 0.46277764217720285)),
+            (0.9779130725002515, 0.00660999522952563, 0.00010326857020401862,
+             7.249640426529219e-05, (0.09323895533317061, 0.08689284842567732,
+                                     0.08347571393702709, 0.10178179155479619,
+                                     0.10275811569441054, 0.11105687088113253,
+                                     0.14156700024408103, 0.14449597266292408,
+                                     0.13473273126678056)),
+            ([557, 582, 1419, 1539], 3938.1506035945586),
+            ([389, 382, 363, 453, 437, 447, 544, 555, 527], 3987.528500990255),
+        ),
+        200000: (
+            (0.690375832357151, 0.009817068353943983, 2.1951632179180712e-05,
+             3.17579578904114e-05, (0.249595, 0.25014, 0.25035, 0.249915)),
+            (0.639685887494574, 0.13152240216091848, 0.00029409303179587896,
+             0.00019816023219275045, (0.548, 0.452)),
+            (0.9779681698823701, 0.00666821676567331, 1.4910585976749307e-05,
+             1.0548315225813737e-05, (0.086405, 0.086, 0.086555, 0.104505, 0.10576,
+                                      0.105285, 0.142635, 0.14087, 0.141985)),
+            ([26934, 27113, 73251, 72702], 192210.3633698258),
+            ([19773, 19764, 19820, 21374, 21558, 21731, 25344, 25212, 25424],
+             194659.05876659718),
+        ),
+    }
+
+    @pytest.mark.parametrize("n", sorted(STORED))
+    def test_match_stored(self, n):
+        qubit, classical, qutrit, qubit_shots, qutrit_shots = self.STORED[n]
+        shared = QutritSharedState(0.5, 0.3)
+        for got, (seed, want) in zip(
+                (simulate_qubit(BellDiagonal((0.4, 0.3, 0.2, 0.1)), VonMisesFisher(30.0),
+                                n, seed=5),
+                 simulate_classical(PolarCap(2.5), n, seed=6),
+                 simulate_qutrit(shared, 0.8, n, seed=7)),
+                ((5, qubit), (6, classical), (7, qutrit))):
+            _close_report(got, SimReport(*want[:4], want[4], n, seed))
+        for runs, (counts, fidelity_sum) in (
+                (qubit_runs(PureSchmidt(0.2), PolarCap(1.0), n, seed=8), qubit_shots),
+                (qutrit_runs(shared, 1.1, n, seed=9), qutrit_shots)):
+            assert np.bincount([r.bell_outcome for r in runs]).tolist() == counts
+            assert math.isclose(math.fsum(r.output_fidelity for r in runs), fidelity_sum,
+                                rel_tol=1e-12)
+
+
+class TestGaussLegendreCache:
+    def test_read_only_and_shared(self):
+        x, w = verify._leggauss(48)
+        assert verify._leggauss(48)[0] is x
+        assert not (x.flags.writeable or w.flags.writeable)
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        ref = np.polynomial.legendre.leggauss(48)
+        assert np.array_equal(x, ref[0]) and np.array_equal(w, ref[1])
+
+
+_BUDGET_SCRIPT = """
+import time
+from telefid.core import BellDiagonal, VonMisesFisher
+from telefid.sim import simulate_qubit
+args = (BellDiagonal((0.4, 0.3, 0.2, 0.1)), VonMisesFisher(30.0), 1 << 17)
+simulate_qubit(*args)
+wall, cpu = time.perf_counter(), time.process_time()
+for seed in range(5):
+    simulate_qubit(*args, seed=seed)
+print(time.perf_counter() - wall, time.process_time() - cpu)
+"""
+
+
+@pytest.mark.skipif(os.cpu_count() == 1, reason="one core: no BLAS thread can spin")
+def test_default_settings_keep_cpu_near_wall():
+    # a BLAS thread left spinning after a product shows as CPU time above wall time
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("TELEFID_THREADS", "OPENBLAS_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(sim.__file__))] + sys.path)
+    out = subprocess.run([sys.executable, "-c", _BUDGET_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    wall, cpu = map(float, out.split())
+    assert cpu <= 1.3 * wall, f"cpu {cpu:.3f} s against wall {wall:.3f} s"
