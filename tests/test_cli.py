@@ -5,9 +5,9 @@ import math
 import pytest
 
 from telefid import cli
-from telefid.verify import CHECK_NAMES
 from telefid.core import PolarCap, PureSchmidt
 from telefid.fidelity import classical_fidelity, fidelity_stats
+from telefid.verify import CHECK_NAMES
 
 
 def run_cli(args, tmp_path, name="out.txt"):
