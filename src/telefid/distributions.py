@@ -32,6 +32,12 @@ if TYPE_CHECKING:
 # there; both branches agree to < 1e-12 relative at the seam (checked against
 # 50-digit arithmetic).
 _SERIES_CROSSOVER = 0.25
+# vMF spread statistics: below the cut from Bessel-function ratios (a continued
+# fraction of 13 levels, 13 down to 5 in the tail, which truncates at 2e-21
+# relative at kappa = 2), above it from the recursion multiplied out in 1/kappa.  Both stay within 2e-15 relative of
+# 80-digit values on [0, 1e150]; the recursion form cancels below the cut.
+_SPREAD_CUT = 2.0
+_SPREAD_CF_TAIL = tuple(2.0 * l + 1.0 for l in range(13, 4, -1))
 
 # vMF <theta> = pi (I0(k) - e^-k) / (2 sinh k), by parts with int_0^pi e^{k cos}
 # = pi I0(k) (A&S 9.6.16).  Below the cut I0 - e^-k cancels (i0e's few-ulp error
@@ -52,11 +58,11 @@ class MomentTable:
         return self.values[k]
 
 
-def _coth(x: float) -> float:
-    # expm1(2x) overflows past x ~ 354; coth is 1.0 to double precision past ~19
+def _coth_minus_one(x: float) -> float:
+    # expm1(2x) overflows past x ~ 354, where coth - 1 = 2 e^-2x is below 1e-300
     if x > 350.0:
-        return 1.0
-    return 1.0 + 2.0 / math.expm1(2.0 * x)
+        return 0.0
+    return 2.0 / math.expm1(2.0 * x)
 
 
 def _cap_one_minus_cos(theta0: float) -> float:
@@ -69,7 +75,9 @@ class InputDistribution:
     """Base for distributions of input directions (phi always uniform).
 
     Subclasses supply cos_moments(), spread_moments(), density(theta),
-    mean_polar_angle(), cos_inverse_cdf(v) and label().
+    mean_polar_angle(), cos_inverse_cdf(v) and label().  cos_inverse_cdf
+    maps uniform draws v on [0, 1) to cos(theta) in place, overwriting and
+    returning v.
     """
 
     __slots__ = ()
@@ -125,9 +133,11 @@ class PolarCap(InputDistribution):
         return (math.sin(t0) - t0 * math.cos(t0)) / _cap_one_minus_cos(t0)
 
     def cos_inverse_cdf(self, v: np.ndarray) -> np.ndarray:
-        u = 1.0 - v * _cap_one_minus_cos(self.theta0)
-        np.clip(u, math.cos(self.theta0), 1.0, out=u)
-        return u
+        # u = 1 - v (1 - cos(theta0)), written over v
+        v *= -_cap_one_minus_cos(self.theta0)
+        v += 1.0
+        np.clip(v, math.cos(self.theta0), 1.0, out=v)
+        return v
 
     def label(self) -> str:
         return f"cap({self.theta0:g})"
@@ -160,7 +170,7 @@ class VonMisesFisher(InputDistribution):
             m4 = 1 / 5 + k2 * (4 / 105 + k2 * (-16 / 4725 + k2 * (52 / 155925 + k2 * (
                 -7144 / 212837625 + k2 * (2168 / 638512875 + k2 * (-18664 / 54273594375))))))
             return MomentTable((1.0, m1, m2, m3, m4))
-        c = _coth(kappa)
+        c = 1.0 + _coth_minus_one(kappa)
         m1 = c - 1.0 / kappa
         m2 = 1.0 - 2.0 * m1 / kappa
         m3 = c - 3.0 * m2 / kappa
@@ -169,16 +179,28 @@ class VonMisesFisher(InputDistribution):
 
     def spread_moments(self) -> tuple[float, float]:
         k = self.kappa
-        if k < _SERIES_CROSSOVER:
-            k2 = k * k
-            v = 4 / 45 + k2 * (8 / 945 + k2 * (-4 / 1575 + k2 * (8 / 18711 + k2 * (
-                -5528 / 91216125 + k2 * (16 / 2027025 + k2 * (-14468 / 14801889375))))))
-            s = 8 / 15 + k2 * (-16 / 315 + k2 * (8 / 1575 + k2 * (-16 / 31185 + k2 * (
-                11056 / 212837625 + k2 * (-32 / 6081075 + k2 * (28936 / 54273594375))))))
-            return (v, s)
-        m = self.cos_moments()
-        v = 4.0 * (3.0 * m[2] - 1.0 - m[1] * m[1]) / (k * k)
-        return (max(v, 0.0), 1.0 - 2.0 * m[2] + m[4])
+        if k < _SPREAD_CUT:
+            # r_l = <P_l(cos theta)> = i_l(k)/i_0(k), the modified spherical
+            # Bessel ratios, as products of q_l = r_l/r_(l-1) from the
+            # continued fraction q_l = k/(2l + 1 + k q_(l+1)), run down from
+            # l = 13: positive terms only.  Then u^2 = (1 + 2 P2)/3 and
+            # u^4 = (7 + 20 P2 + 8 P4)/35 give both statistics.
+            q = 0.0
+            for odd in _SPREAD_CF_TAIL:
+                q = k / (odd + k * q)
+            q4 = k / (9.0 + k * q)
+            q3 = k / (7.0 + k * q4)
+            q2 = k / (5.0 + k * q3)
+            r2 = k / (3.0 + k * q2) * q2
+            r4 = r2 * q3 * q4
+            return (4.0 * (7.0 + 10.0 * r2 + 18.0 * r4 - 35.0 * r2 * r2) / 315.0,
+                    8.0 * (7.0 - 10.0 * r2 + 3.0 * r4) / 105.0)
+        # m_k from the recursion in t = 1/k and coth(k) = 1 + e, multiplied out:
+        # m4 - m2^2 and 1 - 2 m2 + m4 are t^2 times terms that stay near 1
+        t = 1.0 / k
+        e = _coth_minus_one(k)
+        return (4.0 * t * t * ((1.0 - 4.0 * t + 5.0 * t * t) - e * (2.0 + 4.0 * t + e)),
+                8.0 * t * t * ((1.0 - 3.0 * t + 3.0 * t * t) - 3.0 * t * e))
 
     def density(self, theta: float) -> float:
         k = self.kappa
@@ -202,11 +224,16 @@ class VonMisesFisher(InputDistribution):
     def cos_inverse_cdf(self, v: np.ndarray) -> np.ndarray:
         k = self.kappa
         if k == 0.0:
-            return 1.0 - 2.0 * v
-        # invert P(U >= u): u = 1 + log(1 - v (1 - e^{-2k})) / k
-        u = 1.0 + np.log1p(v * math.expm1(-2.0 * k)) / k
-        np.clip(u, -1.0, 1.0, out=u)
-        return u
+            v *= -2.0
+            v += 1.0
+            return v
+        # invert P(U >= u): u = 1 + log(1 - v (1 - e^{-2k})) / k, written over v
+        v *= math.expm1(-2.0 * k)
+        np.log1p(v, out=v)
+        v /= k
+        v += 1.0
+        np.clip(v, -1.0, 1.0, out=v)
+        return v
 
     def label(self) -> str:
         return f"vmf({self.kappa:g})"
@@ -248,18 +275,29 @@ def mean_polar_angle(dist: InputDistribution) -> float:
     return dist.mean_polar_angle()
 
 
-def sample_directions(dist: InputDistribution, n: int, rng) -> np.ndarray:
-    """n input directions, shape (n, 2) as (theta, phi) rows.
+def sample_directions(dist: InputDistribution, n: int, rng, *,
+                      cos_theta: bool = False) -> np.ndarray:
+    """n input directions, shape (n, 2) as (theta, phi) rows, or as
+    (cos(theta), phi) rows if cos_theta is set.
 
-    cos(theta) is drawn by exact inverse CDF for every distribution; phi is
-    uniform on [0, 2pi).
+    cos(theta) is drawn by exact inverse CDF for every distribution and lies
+    in [-1, 1]; theta is its arccos, phi uniform on [0, 2pi).  Both forms
+    make the same draws in the same order, so their phi columns are equal
+    and arccos of the cos(theta) column is the theta column.  The result is
+    the transpose of a C-ordered (2, n) array, so each column is contiguous:
+    the draws land in it directly, with no temporary of size n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     gen = np.random.default_rng(rng)
-    theta = np.arccos(dist.cos_inverse_cdf(gen.random(n)))
-    phi = gen.random(n) * (2.0 * math.pi)
-    return np.column_stack((theta, phi))
+    out = np.empty((2, n))
+    u, phi = out
+    dist.cos_inverse_cdf(gen.random(out=u))
+    gen.random(out=phi)
+    phi *= 2.0 * math.pi
+    if not cos_theta:
+        np.arccos(u, out=u)
+    return out.T
 
 
 ##### qutrit input manifold #####
@@ -280,19 +318,46 @@ _SIN4_PI = 0.375 * math.pi
 _NEWTON_STEPS = 4
 
 
+def _sin4_series(theta):
+    t2 = theta * theta
+    f = _SIN4_SERIES[0]
+    for coef in _SIN4_SERIES[1:]:
+        f *= t2
+        f += coef
+    return f * (t2 * t2 * theta)
+
+
+def _sin4_closed(theta, s):
+    # 3 theta/8 - sin(2 theta)/4 + sin(4 theta)/32 in sin and cos of theta
+    c = np.cos(theta)
+    return 0.375 * (theta - s * c) - 0.25 * s * s * s * c
+
+
 def _sin4_antideriv(theta):
     """(F(theta), sin(theta)), F the antiderivative of sin^4 on [0, pi] with
-    F(0) = 0, vectorized; the Newton steps take F' = sin^4 from the second."""
-    s, c = np.sin(theta), np.cos(theta)
-    # 3 theta/8 - sin(2 theta)/4 + sin(4 theta)/32 in sin and cos of theta
-    closed = 0.375 * (theta - s * c) - 0.25 * s * s * s * c
-    t2 = theta * theta
-    series = _SIN4_SERIES[0]
-    for coef in _SIN4_SERIES[1:]:
-        series *= t2
-        series += coef
-    series *= t2 * t2 * theta
-    return np.where(theta < _SIN4_SERIES_CUT, series, closed), s
+    F(0) = 0, for a float or an array; the Newton steps take F' = sin^4 from
+    the second.
+
+    The branch that covers most elements runs on the whole array, the other
+    only on the elements where it applies: a masked pass costs about as
+    much as the series, so splitting both sides would save nothing.
+    """
+    s = np.sin(theta)
+    if isinstance(theta, float):
+        return (_sin4_series(theta) if theta < _SIN4_SERIES_CUT
+                else _sin4_closed(theta, s)), s
+    low = theta < _SIN4_SERIES_CUT
+    n_low = np.count_nonzero(low)
+    if 2 * n_low < theta.size:
+        f = _sin4_closed(theta, s)
+        if n_low:
+            f[low] = _sin4_series(theta[low])
+    else:
+        f = _sin4_series(theta)
+        if n_low < theta.size:
+            high = ~low
+            f[high] = _sin4_closed(theta[high], s[high])
+    return f, s
 
 
 def _invert_sin4_antideriv(target, theta4_max: float) -> np.ndarray:
@@ -307,20 +372,31 @@ def _invert_sin4_antideriv(target, theta4_max: float) -> np.ndarray:
     overshoot; they leave |F(theta4) - target| within a few ulp of
     F(theta4_max) plus sin^4(theta4) times an ulp of theta4.
     """
+    # written in place where the arithmetic allows: each step's arrays are
+    # the chunk's largest transient allocations
     upper = target > 0.5 * _SIN4_PI
-    t = np.where(upper, _SIN4_PI - target, target)
+    t = target.copy()
+    np.subtract(_SIN4_PI, target, out=t, where=upper)
     tau = t ** 0.2
-    th4 = (5.0 * t) ** 0.2
+    t *= 5.0
+    th4 = np.power(t, 0.2, out=t)
     th4 += th4 * th4 * th4 * (2.0 / 21.0)
     for _ in range(_NEWTON_STEPS):
         # d F^(1/5)/d theta = sin^4 / (5 F^(4/5)); the 1e-300 keeps the
         # target-0 root at 0 instead of 0/0
         f, s = _sin4_antideriv(th4)
-        h = f ** 0.2
-        r = h / (s + 1e-300)
+        h = np.power(f, 0.2, out=f)
+        s += 1e-300
+        r = np.divide(h, s, out=s)
         r *= r
-        th4 -= 5.0 * (h - tau) * r * r
-    return np.minimum(np.where(upper, math.pi - th4, th4), theta4_max)
+        # th4 -= 5 (h - tau) r^2
+        h -= tau
+        h *= 5.0
+        h *= r
+        h *= r
+        th4 -= h
+    np.subtract(math.pi, th4, out=th4, where=upper)
+    return np.minimum(th4, theta4_max, out=th4)
 
 
 def sample_qutrit_inputs(theta4_max: float, n: int, rng) -> np.ndarray:

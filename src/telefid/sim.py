@@ -8,7 +8,9 @@ probability p_k = P_k . a, P the (K, d) outcome map; and p_k f_k =
 a^T M_k a, f_k the fidelity of the corrected output, M the (K, d, d)
 forms.  The qubit (Bell measurement; a the Bloch 4-vector), qutrit (Weyl
 measurement; a the populations |x_i|^2) and classical measure-and-prepare
-(z measurement; a = (1, cos theta)) protocols all run this way.
+(z measurement; a = (1, cos theta)) protocols all run this way.  The qubit
+and classical inputs are the sampler's (cos theta, phi) rows: cos theta is
+what it draws, so it is never recomputed from theta.
 
 `_simulate` reduces a protocol to the moments, with standard errors, of
 the outcome-summed fidelity sum_k p_k f_k = a^T G a, G = sum_k M_k, and to
@@ -200,10 +202,13 @@ def _simulate(protocol: _Protocol, n_samples: int, seed: int,
         a = coords(m, rng)[1]
         gp = _matmul(stacked, a)
         gp[:dim] *= a
-        fbar = gp[:dim].sum(axis=0)
+        # the coordinates are spent: freeing them now lets the rest of the
+        # chunk reuse their memory instead of growing the heap
+        del a
+        d = gp[:dim].sum(axis=0)
         k = _sample_outcomes(gp[dim:], rng)
-        mean = float(fbar.mean())
-        d = fbar - mean
+        mean = float(d.mean())
+        d -= mean
         d2 = d * d
         moments = (m, mean, float(d2.sum()), float((d2 * d).sum()), float((d2 * d2).sum()))
         return moments, np.bincount(k, minlength=len(outcomes))
@@ -243,15 +248,15 @@ def _qubit_protocol(shared: CorrelationTensor | StateFamily,
                     dist: InputDistribution) -> _Protocol:
     """Bell-measurement teleportation; the operators are contracted once per state.
 
-    An input enters only through its Bloch 4-vector a = (1, sin(theta)
-    cos(phi), sin(theta) sin(phi), cos(theta)), |chi><chi| = sum_mu a_mu
-    PAULI[mu]/2.  Let S_k(X) = <B_k|X x rho|B_k> be Bob's unnormalised
-    state after the Bell projection BELL[k] and U_k = CORR[k].  Outcome k
-    then has probability p_k = P_k . a and fidelity term
-    <chi|U_k S_k U_k^dag|chi> = a^T M_k a, with the real P_k[nu] =
-    Tr S_k(sigma_nu)/2 and M_k[mu, nu] = Tr[sigma_mu U_k S_k(sigma_nu)
-    U_k^dag]/4, both built from BELL, CORR and rho.  The input directions
-    are the only draws.
+    An input enters only through its Bloch 4-vector a = (1, s cos(phi),
+    s sin(phi), u), |chi><chi| = sum_mu a_mu PAULI[mu]/2, built from the
+    drawn u = cos(theta) with s = sin(theta) = sqrt((1 - u)(1 + u)).  Let
+    S_k(X) = <B_k|X x rho|B_k> be Bob's unnormalised state after the Bell
+    projection BELL[k] and U_k = CORR[k].  Outcome k then has probability
+    p_k = P_k . a and fidelity term <chi|U_k S_k U_k^dag|chi> = a^T M_k a,
+    with the real P_k[nu] = Tr S_k(sigma_nu)/2 and M_k[mu, nu] =
+    Tr[sigma_mu U_k S_k(sigma_nu) U_k^dag]/4, both built from BELL, CORR
+    and rho.  The input directions are the only draws.
     """
     rho4 = density_matrix(shared).reshape(2, 2, 2, 2)
     s = np.einsum('kia,nij,abcd,kjc->knbd', BELL.conj(), PAULI, rho4, BELL, optimize=True)
@@ -259,30 +264,38 @@ def _qubit_protocol(shared: CorrelationTensor | StateFamily,
                              optimize=True).real
 
     def coords(n: int, rng):
-        tp = sample_directions(dist, n, rng)
-        theta, phi = tp.T
+        up = sample_directions(dist, n, rng, cos_theta=True)
+        u, phi = up.T
         a = np.empty((4, n))
         a[0] = 1.0
         np.cos(phi, out=a[1])
         np.sin(phi, out=a[2])
-        a[1:3] *= np.sin(theta)
-        np.cos(theta, out=a[3])
-        return tp, a
+        # sin(theta) = sqrt((1 - u)(1 + u)), never NaN for u in [-1, 1]
+        sin_theta = a[3]
+        np.subtract(1.0, u, out=sin_theta)
+        sin_theta *= 1.0 + u
+        np.sqrt(sin_theta, out=sin_theta)
+        a[1:3] *= sin_theta
+        a[3] = u
+        return up, a
     return _Protocol(coords, 0.5 * np.einsum('knbb->kn', s).real, forms)
 
 
 def _classical_protocol(dist: InputDistribution) -> _Protocol:
     """Measure-and-prepare: measure z, re-prepare the pole state |k>.
 
-    On a = (1, cos(theta)) outcome k has p_k = |<k|chi>|^2 = P_k . a, P =
-    [[1, 1], [1, -1]]/2, and the re-prepared |k> has fidelity p_k, so
-    M_k = P_k P_k^T.
+    On a = (1, u), u = cos(theta) as drawn, outcome k has p_k =
+    |<k|chi>|^2 = P_k . a, P = [[1, 1], [1, -1]]/2, and the re-prepared |k>
+    has fidelity p_k, so M_k = P_k P_k^T.
     """
     outcomes = 0.5 * np.array([[1.0, 1.0], [1.0, -1.0]])
 
     def coords(n: int, rng):
-        tp = sample_directions(dist, n, rng)
-        return tp, np.array((np.ones(n), np.cos(tp[:, 0])))
+        up = sample_directions(dist, n, rng, cos_theta=True)
+        a = np.empty((2, n))
+        a[0] = 1.0
+        a[1] = up[:, 0]
+        return up, a
     return _Protocol(coords, outcomes, np.einsum('ki,kj->kij', outcomes, outcomes))
 
 
@@ -325,7 +338,8 @@ def qubit_runs(shared: CorrelationTensor | StateFamily, dist: InputDistribution,
                n_runs: int, seed: int = 0) -> list[ProtocolRun]:
     """Shot-level records: sampled outcome and its conditional fidelity."""
     return _shots(_qubit_protocol(shared, dist), n_runs, seed,
-                  lambda tp: [map(BlochDirection, *tp.T.tolist())])
+                  lambda up: [map(BlochDirection, np.arccos(up[:, 0]).tolist(),
+                                  up[:, 1].tolist())])
 
 
 def simulate_classical(dist: InputDistribution, n_samples: int, seed: int = 0,

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
+from numpy.polynomial import legendre
+from scipy.linalg import eigh_tridiagonal
 
 from .core import (BellDiagonal, BlochDirection, CorrelationTensor, InputDistribution,
                    PolarCap, PureSchmidt, Uniform, VonMisesFisher, Werner,
@@ -73,8 +75,28 @@ def _oracle_shape(dist: InputDistribution) -> tuple[float, float]:
 @functools.cache
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], read-only, computed once
-    per order: each is a LAPACK eigensolve that OpenBLAS runs on several threads."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    per order; bit for bit numpy's leggauss.
+
+    numpy takes the nodes from eigvalsh of the symmetric companion matrix, a
+    LAPACK solve that starts OpenBLAS's threads.  That matrix is tridiagonal,
+    so here its eigenvalues come from the BLAS-free root-free QR of sterf,
+    followed by leggauss's own Newton step, weights and symmetrisation.
+    """
+    c = np.zeros(order + 1)
+    c[-1] = 1.0
+    m = legendre.legcompanion(c)
+    x = eigh_tridiagonal(np.diagonal(m), np.diagonal(m, 1), eigvals_only=True,
+                         lapack_driver='sterf')
+    dy = legendre.legval(x, c)
+    df = legendre.legval(x, legendre.legder(c))
+    x -= dy / df
+    fm = legendre.legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1.0 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

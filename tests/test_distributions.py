@@ -101,6 +101,23 @@ class TestSpreadMoments:
         assert math.isclose(v2c, m[4] - m[2] ** 2, rel_tol=1e-10, abs_tol=1e-14)
         assert math.isclose(s4, 1 - 2 * m[2] + m[4], rel_tol=1e-10)
 
+    def test_vmf_against_high_precision(self):
+        # Var(cos^2 theta) and <sin^4 theta> from 50-digit quadrature of the
+        # vMF density, across both branch seams (the moment series at 0.25,
+        # the spread statistics' cut at 2)
+        mp = pytest.importorskip("mpmath")
+        kappas = [*np.linspace(0.0, 10.0, 21), 1e-8, 0.2499, 0.2501, 0.3, 1.9999, 2.0001]
+        with mp.workdps(50):
+            for kappa in kappas:
+                k = mp.mpf(float(kappa))
+                z, m2, m4, s4 = (mp.quad(lambda u, f=f: f(u) * mp.exp(k * (u - 1)), [-1, 1])
+                                 for f in (lambda u: 1, lambda u: u ** 2, lambda u: u ** 4,
+                                           lambda u: (1 - u * u) ** 2))
+                want = ((m4 / z - (m2 / z) ** 2), s4 / z)
+                got = spread_moments(VonMisesFisher(float(kappa)))
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-14 * w, (kappa, g, float(w))
+
     def test_series_seam_is_smooth(self):
         below = spread_moments(VonMisesFisher(0.2499))
         above = spread_moments(VonMisesFisher(0.2501))
@@ -215,6 +232,18 @@ class TestSamplers:
         b = sample_directions(PolarCap(2.0), 100, np.random.default_rng(5))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dist", [PolarCap(1e-8), PolarCap(1.2), PolarCap(math.pi),
+                                      Uniform(), VonMisesFisher(4.0), VonMisesFisher(1e4)])
+    def test_cos_theta_column(self, dist):
+        # same draws, same order: column 0 is the inverse CDF of the first
+        # draw, and the default theta is its arccos
+        n = 4097
+        up = sample_directions(dist, n, np.random.default_rng(13), cos_theta=True)
+        tp = sample_directions(dist, n, np.random.default_rng(13))
+        assert np.array_equal(up[:, 0], dist.cos_inverse_cdf(np.random.default_rng(13).random(n)))
+        assert np.array_equal(np.arccos(up[:, 0]), tp[:, 0])
+        assert np.array_equal(up[:, 1], tp[:, 1])
+
 
 class TestQutritSampling:
     def test_norms(self):
@@ -280,7 +309,17 @@ class TestSin4Antiderivative:
                             rel_tol=1e-15)
 
     def test_scalar_matches_array(self):
-        thetas = [1e-3, 0.4999, 0.5, 1.3, math.pi]
+        self._check_scalar_matches_array([1e-3, 0.4999, 0.5, 1.3, math.pi])
+
+    # the branch covering most elements runs on the whole array, the other on
+    # its complement only; elementwise results are the same on every path
+    @pytest.mark.parametrize("thetas", [[1e-3, 0.1, 0.4999, 0.5, 2.0], [0.2, 0.3], [0.5, 3.0]],
+                             ids=["mostly-series", "series", "closed"])
+    def test_scalar_matches_array_paths(self, thetas):
+        self._check_scalar_matches_array(thetas)
+
+    @staticmethod
+    def _check_scalar_matches_array(thetas):
         f_arr, s_arr = _sin4_antideriv(np.array(thetas))
         for i, theta in enumerate(thetas):
             f, s = _sin4_antideriv(theta)

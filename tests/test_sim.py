@@ -2,12 +2,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from telefid.core import (BellDiagonal, CorrelationTensor, PolarCap, PureSchmidt,
                           Uniform, VonMisesFisher, Werner, correlation_tensor)
+from telefid.distributions import sample_directions
 from telefid.fidelity import classical_fidelity, fidelity_stats
 from telefid.qutrit import (QutritSharedState, qutrit_average_fidelity)
 from telefid.resources import bell_probabilities_averaged
@@ -106,10 +108,10 @@ class TestKernelAgainstProtocolChain:
     ])
     @pytest.mark.parametrize("dist", [Uniform(), PolarCap(1.2)])
     def test_matches_explicit_chain(self, state, dist):
-        tp, num, p = _evaluate(_qubit_protocol(state, dist), 64, 29)
+        up, num, p = _evaluate(_qubit_protocol(state, dist), 64, 29)
         rho = density_matrix(state)
-        for n, (theta, phi) in enumerate(tp):
-            p_ref, num_ref = self._chain(_qubit_ket(theta, phi), rho)
+        for n, (u, phi) in enumerate(up):
+            p_ref, num_ref = self._chain(_qubit_ket(math.acos(u), phi), rho)
             assert np.allclose(p[n], p_ref, rtol=0.0, atol=1e-14)
             assert np.allclose(num[n], num_ref, rtol=0.0, atol=1e-14)
         assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
@@ -169,9 +171,9 @@ class TestProductResourceIsClassical:
 
     @pytest.mark.parametrize("dist", [Uniform(), PolarCap(0.8), VonMisesFisher(4.0)])
     def test_matches_classical_kernel(self, dist):
-        tp, num, p = _evaluate(_qubit_protocol(PureSchmidt(0.0), dist), 256, 43)
-        tp_cl, num_cl, p_cl = _evaluate(_classical_protocol(dist), 256, 43)
-        assert np.array_equal(tp, tp_cl)
+        up, num, p = _evaluate(_qubit_protocol(PureSchmidt(0.0), dist), 256, 43)
+        up_cl, num_cl, p_cl = _evaluate(_classical_protocol(dist), 256, 43)
+        assert np.array_equal(up, up_cl)
         assert np.allclose(num.sum(axis=1), num_cl.sum(axis=1), rtol=0.0, atol=1e-15)
         # the input's |0> component pairs with Alice's |1> only in psi+-
         assert np.allclose(p[:, 2] + p[:, 3], p_cl[:, 0], rtol=0.0, atol=1e-15)
@@ -182,10 +184,10 @@ class TestClassicalKernelAgainstProtocolChain:
 
     @pytest.mark.parametrize("dist", [Uniform(), PolarCap(0.8), VonMisesFisher(4.0)])
     def test_matches_explicit_chain(self, dist):
-        tp, num, p = _evaluate(_classical_protocol(dist), 64, 31)
+        up, num, p = _evaluate(_classical_protocol(dist), 64, 31)
         basis = np.eye(2)
-        for n, (theta, phi) in enumerate(tp):
-            chi = _qubit_ket(theta, phi)
+        for n, (u, phi) in enumerate(up):
+            chi = _qubit_ket(math.acos(u), phi)
             rho = np.outer(chi, chi.conj())
             for k, ket in enumerate(basis):
                 # measure z with projector |k><k|, then re-prepare |k>
@@ -196,6 +198,32 @@ class TestClassicalKernelAgainstProtocolChain:
                 assert abs(p[n, k] - p_ref) <= 1e-14
                 assert abs(num[n, k] - num_ref) <= 1e-14
         assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+
+
+class TestCosThetaCoordinates:
+    """The qubit and classical protocols see the sampler's cos(theta) itself."""
+
+    @pytest.mark.parametrize("dist", [PolarCap(1e-8), PolarCap(1.2), PolarCap(math.pi),
+                                      Uniform(), VonMisesFisher(1e4)])
+    def test_coordinates(self, dist):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            up, a = _qubit_protocol(PureSchmidt(0.2), dist).coords(4097, np.random.default_rng(3))
+            up_cl, a_cl = _classical_protocol(dist).coords(4097, np.random.default_rng(3))
+        assert np.array_equal(up, up_cl)
+        assert np.all(a[0] == 1.0) and np.all(a_cl[0] == 1.0)
+        assert np.array_equal(a[3], up[:, 0]) and np.array_equal(a_cl[1], up[:, 0])
+        norm = np.sqrt(a[1] ** 2 + a[2] ** 2 + a[3] ** 2)
+        assert np.abs(norm - 1.0).max() <= 4 * np.spacing(1.0)
+
+    def test_shot_directions(self):
+        # a shot's theta is the default sampler's theta for the same draw
+        dist = PolarCap(1.2)
+        runs = qubit_runs(PureSchmidt(0.2), dist, 500, seed=61)
+        rng = np.random.default_rng(np.random.SeedSequence(61).spawn(1)[0])
+        tp = sample_directions(dist, 500, rng)
+        assert [r.input_direction.theta for r in runs] == tp[:, 0].tolist()
+        assert [r.input_direction.phi for r in runs] == tp[:, 1].tolist()
 
 
 class TestOutcomeSums:
@@ -487,7 +515,11 @@ class TestGaussLegendreCache:
         assert not (x.flags.writeable or w.flags.writeable)
         with pytest.raises(ValueError):
             w[0] = 0.0
-        ref = np.polynomial.legendre.leggauss(48)
+
+    @pytest.mark.parametrize("order", [1, 2, 48, 96, 160])
+    def test_matches_numpy(self, order):
+        x, w = verify._leggauss(order)
+        ref = np.polynomial.legendre.leggauss(order)
         assert np.array_equal(x, ref[0]) and np.array_equal(w, ref[1])
 
 
