@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from scipy.optimize import brentq
-
 from .core import PolarCap, VonMisesFisher
 from .distributions import mean_polar_angle
 from .fidelity import classical_fidelity, fidelity_stats
@@ -23,6 +21,24 @@ KAPPA_MIN = 1e-8
 KAPPA_MAX = 1e3
 
 _XTOL = 1e-13
+
+
+def _bisect(f, lo: float, hi: float, xtol: float) -> float:
+    """A root of f in [lo, hi] by bisection, to within xtol or to adjacent
+    floats; ValueError unless f(lo) and f(hi) differ in sign (or one is 0)."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0 or fhi == 0.0:
+        return lo if flo == 0.0 else hi
+    if (flo < 0.0) == (fhi < 0.0):
+        raise ValueError(f"f({lo!r}) and f({hi!r}) have the same sign")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= xtol or not lo < mid < hi:
+            return mid
+        if (f(mid) < 0.0) == (flo < 0.0):
+            lo = mid
+        else:
+            hi = mid
 
 
 class MatchCriterion(enum.Enum):
@@ -78,9 +94,8 @@ def vmf_kappa_for_classical_fidelity(target: float) -> float:
             f"reachable with kappa <= {KAPPA_MAX:g}")
     if target == 2.0 / 3.0:
         return 0.0
-    return brentq(
-        lambda k: classical_fidelity(VonMisesFisher(k)) - target,
-        KAPPA_MIN, KAPPA_MAX, xtol=_XTOL)
+    return _bisect(lambda k: classical_fidelity(VonMisesFisher(k)) - target,
+                   KAPPA_MIN, KAPPA_MAX, _XTOL)
 
 
 def match_by_mean_angle(target: float) -> MatchedPair:
@@ -99,12 +114,10 @@ def match_by_mean_angle(target: float) -> MatchedPair:
         raise ValueError(
             f"mean angle target {target!r} below {floor:.6f}, the smallest "
             f"reachable with kappa <= {KAPPA_MAX:g}")
-    theta0 = brentq(
-        lambda t: mean_polar_angle(PolarCap(t)) - target,
-        1e-9, math.pi, xtol=_XTOL)
-    kappa = brentq(
-        lambda k: mean_polar_angle(VonMisesFisher(k)) - target,
-        KAPPA_MIN, KAPPA_MAX, xtol=_XTOL)
+    theta0 = _bisect(lambda t: mean_polar_angle(PolarCap(t)) - target,
+                     1e-9, math.pi, _XTOL)
+    kappa = _bisect(lambda k: mean_polar_angle(VonMisesFisher(k)) - target,
+                    KAPPA_MIN, KAPPA_MAX, _XTOL)
     return MatchedPair(theta0, kappa, MatchCriterion.MEAN_POLAR_ANGLE, target)
 
 

@@ -22,40 +22,21 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import i0e
 
 if TYPE_CHECKING:
     from .core import BlochDirection
 
-# Upward recursion m_k = coth(k) - k m_{k-1}/kappa ... loses up to 8 digits
-# below kappa ~ 0.25 through cancellation, so a 12th-order series takes over
-# there; both branches agree to < 1e-12 relative at the seam (checked against
-# 50-digit arithmetic).
-_SERIES_CROSSOVER = 0.25
-# vMF spread statistics: below the cut from Bessel-function ratios (a continued
-# fraction of 13 levels, 13 down to 5 in the tail, which truncates at 2e-21
-# relative at kappa = 2), above it from the recursion multiplied out in 1/kappa.  Both stay within 2e-15 relative of
-# 80-digit values on [0, 1e150]; the recursion form cancels below the cut.
+# vMF moments and spread statistics: below the cut from the Legendre ratios
+# r_l = <P_l(cos theta)> (a continued fraction of 13 levels, 13 down to 5 in
+# the tail, which truncates at 2e-21 relative at kappa = 2), above it from the
+# recursion m_k = coth(kappa) - k m_(k-1)/kappa, which cancels below the cut.
+# Both stay within 2e-15 relative of 400-digit values on (0, 1e150].
 _SPREAD_CUT = 2.0
 _SPREAD_CF_TAIL = tuple(2.0 * l + 1.0 for l in range(13, 4, -1))
-
 # vMF <theta> = pi (I0(k) - e^-k) / (2 sinh k), by parts with int_0^pi e^{k cos}
-# = pi I0(k) (A&S 9.6.16).  Below the cut I0 - e^-k cancels (i0e's few-ulp error
-# alone costs 3e-15 at 0.25), so a Taylor series good to 2e-20 there takes over.
-_VMF_ANGLE_SERIES_CUT = 1.0
-_VMF_ANGLE_SERIES = tuple(
-    (1 / (4 ** (n // 2) * math.factorial(n // 2) ** 2) if n % 2 == 0 else 0.0)
-    - (-1) ** n / math.factorial(n) for n in range(20, 0, -1))
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """<cos^k theta> for k = 0..4 under an input distribution."""
-
-    values: tuple[float, float, float, float, float]
-
-    def __getitem__(self, k: int) -> float:
-        return self.values[k]
+# = pi I0(k) (A&S 9.6.16): from the power series below the cut, from the
+# asymptotic series of I0 (A&S 9.7.1) above it.
+_VMF_ANGLE_CUT = 20.0
 
 
 def _coth_minus_one(x: float) -> float:
@@ -69,6 +50,23 @@ def _cap_one_minus_cos(theta0: float) -> float:
     # 1 - cos(theta0) without cancellation at small theta0
     s = math.sin(0.5 * theta0)
     return 2.0 * s * s
+
+
+def _legendre_ratios(k: float) -> tuple[float, float, float, float]:
+    """r_l = <P_l(cos theta)> = i_l(k)/i_0(k) for l = 1..4 under a vMF, the
+    modified spherical Bessel ratios, as products of q_l = r_l/r_(l-1) from
+    the continued fraction q_l = k/(2l + 1 + k q_(l+1)), run down from
+    l = 13: positive terms only."""
+    q = 0.0
+    for odd in _SPREAD_CF_TAIL:
+        q = k / (odd + k * q)
+    q4 = k / (9.0 + k * q)
+    q3 = k / (7.0 + k * q4)
+    q2 = k / (5.0 + k * q3)
+    r1 = k / (3.0 + k * q2)
+    r2 = r1 * q2
+    r3 = r2 * q3
+    return r1, r2, r3, r3 * q4
 
 
 class InputDistribution:
@@ -96,7 +94,7 @@ class PolarCap(InputDistribution):
         if not 0.0 < self.theta0 <= math.pi:
             raise ValueError(f"theta0={self.theta0!r} outside (0, pi]")
 
-    def cos_moments(self) -> MomentTable:
+    def cos_moments(self) -> tuple[float, ...]:
         # cos(theta) is uniform on [cos(theta0), 1]:
         # m_k = (1 - c^{k+1}) / ((k+1)(1-c))
         c = math.cos(self.theta0)
@@ -110,7 +108,7 @@ class PolarCap(InputDistribution):
             l = math.log1p(-d)
             for k in range(1, 5):
                 out.append(-math.expm1((k + 1) * l) / ((k + 1) * d))
-        return MomentTable(tuple(out))
+        return tuple(out)
 
     def spread_moments(self) -> tuple[float, float]:
         c = math.cos(self.theta0)
@@ -156,43 +154,26 @@ class VonMisesFisher(InputDistribution):
         if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
             raise ValueError(f"kappa={self.kappa!r} must be finite and >= 0")
 
-    def cos_moments(self) -> MomentTable:
-        kappa = self.kappa
-        if kappa < _SERIES_CROSSOVER:
-            # at kappa = 0 this is exactly the uniform (1, 0, 1/3, 0, 1/5)
-            k2 = kappa * kappa
-            m1 = kappa * (1 / 3 + k2 * (-1 / 45 + k2 * (2 / 945 + k2 * (
-                -1 / 4725 + k2 * (2 / 93555 + k2 * (-1382 / 638512875))))))
-            m2 = 1 / 3 + k2 * (2 / 45 + k2 * (-4 / 945 + k2 * (2 / 4725 + k2 * (
-                -4 / 93555 + k2 * (2764 / 638512875 + k2 * (-8 / 18243225))))))
-            m3 = kappa * (1 / 5 + k2 * (-1 / 105 + k2 * (4 / 4725 + k2 * (
-                -13 / 155925 + k2 * (1786 / 212837625 + k2 * (-542 / 638512875))))))
-            m4 = 1 / 5 + k2 * (4 / 105 + k2 * (-16 / 4725 + k2 * (52 / 155925 + k2 * (
-                -7144 / 212837625 + k2 * (2168 / 638512875 + k2 * (-18664 / 54273594375))))))
-            return MomentTable((1.0, m1, m2, m3, m4))
-        c = 1.0 + _coth_minus_one(kappa)
-        m1 = c - 1.0 / kappa
-        m2 = 1.0 - 2.0 * m1 / kappa
-        m3 = c - 3.0 * m2 / kappa
-        m4 = 1.0 - 4.0 * m3 / kappa
-        return MomentTable((1.0, m1, m2, m3, m4))
+    def cos_moments(self) -> tuple[float, ...]:
+        k = self.kappa
+        if k < _SPREAD_CUT:
+            # u^k in Legendre polynomials; kappa = 0 gives exactly the
+            # uniform (1, 0, 1/3, 0, 1/5)
+            r1, r2, r3, r4 = _legendre_ratios(k)
+            return (1.0, r1, (1.0 + 2.0 * r2) / 3.0, (3.0 * r1 + 2.0 * r3) / 5.0,
+                    (7.0 + 20.0 * r2 + 8.0 * r4) / 35.0)
+        c = 1.0 + _coth_minus_one(k)
+        m1 = c - 1.0 / k
+        m2 = 1.0 - 2.0 * m1 / k
+        m3 = c - 3.0 * m2 / k
+        m4 = 1.0 - 4.0 * m3 / k
+        return (1.0, m1, m2, m3, m4)
 
     def spread_moments(self) -> tuple[float, float]:
         k = self.kappa
         if k < _SPREAD_CUT:
-            # r_l = <P_l(cos theta)> = i_l(k)/i_0(k), the modified spherical
-            # Bessel ratios, as products of q_l = r_l/r_(l-1) from the
-            # continued fraction q_l = k/(2l + 1 + k q_(l+1)), run down from
-            # l = 13: positive terms only.  Then u^2 = (1 + 2 P2)/3 and
-            # u^4 = (7 + 20 P2 + 8 P4)/35 give both statistics.
-            q = 0.0
-            for odd in _SPREAD_CF_TAIL:
-                q = k / (odd + k * q)
-            q4 = k / (9.0 + k * q)
-            q3 = k / (7.0 + k * q4)
-            q2 = k / (5.0 + k * q3)
-            r2 = k / (3.0 + k * q2) * q2
-            r4 = r2 * q3 * q4
+            # u^2 = (1 + 2 P2)/3 and u^4 = (7 + 20 P2 + 8 P4)/35, multiplied out
+            _, r2, _, r4 = _legendre_ratios(k)
             return (4.0 * (7.0 + 10.0 * r2 + 18.0 * r4 - 35.0 * r2 * r2) / 315.0,
                     8.0 * (7.0 - 10.0 * r2 + 3.0 * r4) / 105.0)
         # m_k from the recursion in t = 1/k and coth(k) = 1 + e, multiplied out:
@@ -212,14 +193,24 @@ class VonMisesFisher(InputDistribution):
 
     def mean_polar_angle(self) -> float:
         k = self.kappa
-        if k < _VMF_ANGLE_SERIES_CUT:
-            s = 0.0
-            for coef in _VMF_ANGLE_SERIES:
-                s = s * k + coef
+        if k < _VMF_ANGLE_CUT:
+            # (I0(k) - e^-k)/k = sum_n>=1 (-1)^(n+1) k^(n-1)/n! plus
+            # sum_m>=1 (k/2)^2m / (k m!^2): terms n = 2m - 1, 2m and m per step
+            s, a, b, m = 0.0, 1.0, 0.25 * k, 1
+            while a + b > 1e-17 * s:
+                s += a - a * k / (2 * m) + b
+                a *= k * k / ((2 * m) * (2 * m + 1))
+                m += 1
+                b *= k * k / (4 * m * m)
             # sinh(k)/k, not pi k: no subnormal product, and pi/2 at kappa = 0
             return 0.5 * math.pi * s / (math.sinh(k) / k if k else 1.0)
-        # scaled by e^{-kappa}: nothing overflows
-        return math.pi * float(i0e(k) - math.exp(-2.0 * k)) / -math.expm1(-2.0 * k)
+        # pi I0(k) e^-k; e^-2k and the e^-k of I0 - e^-k are below 1e-16 here
+        s, t, j = 1.0, 1.0, 0
+        while t > 1e-17:
+            j += 1
+            t *= (2 * j - 1) ** 2 / (8.0 * k * j)
+            s += t
+        return math.sqrt(0.5 * math.pi / k) * s
 
     def cos_inverse_cdf(self, v: np.ndarray) -> np.ndarray:
         k = self.kappa
@@ -249,7 +240,7 @@ class Uniform(VonMisesFisher):
         return "uniform"
 
 
-def cos_moments(dist: InputDistribution) -> MomentTable:
+def cos_moments(dist: InputDistribution) -> tuple[float, ...]:
     """First four moments of cos(theta); m0 = 1 always."""
     return dist.cos_moments()
 

@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import EstimatorReport
-from .compare import cap_theta0_for_classical_fidelity
+from .compare import _bisect, cap_theta0_for_classical_fidelity
 from .distributions import _sin4_antideriv
 from .fidelity import InfoMeasure
 from .sim import simulate_qutrit
@@ -142,14 +141,16 @@ def qutrit_prior_information(theta4_max: float) -> InfoMeasure:
 def theta4_for_fractional_info(target: float) -> float:
     """Latitude cutoff whose ensemble carries fractional information target.
 
-    Inverts I_f(theta4_max) = 2 <P4> - 1 on (0, pi/2], where it decreases
-    strictly from ~1 to 0.
+    Inverts I_f(theta4_max) = 2 <P4> - 1 by bisection on (0, pi/2], where
+    it is not monotone: I_f falls from ~1 to 0 at 0.991155, dips to -0.0492
+    near 1.2109 and returns to 0 at pi/2.  A target > 0 maps to its one root
+    below 0.991155; target 0 maps to pi/2, a special case.
     """
     _check_fractional_info(target)
     if target == 0.0:
         return 0.5 * math.pi
-    return brentq(lambda t: 2.0 * participation_moment(t) - 1.0 - target,
-                  _THETA4_FLOOR, 0.5 * math.pi, xtol=1e-12)
+    return _bisect(lambda t: 2.0 * participation_moment(t) - 1.0 - target,
+                   _THETA4_FLOOR, 0.5 * math.pi, 1e-12)
 
 
 def _check_fractional_info(target: float) -> None:

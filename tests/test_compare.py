@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from telefid.compare import (MatchCriterion, cap_theta0_for_classical_fidelity,
+from telefid.compare import (MatchCriterion, _bisect, cap_theta0_for_classical_fidelity,
                              delta_stats, match_by_classical_fidelity,
                              match_by_mean_angle, sweep_comparison,
                              vmf_kappa_for_classical_fidelity)
@@ -36,6 +36,12 @@ class TestInversions:
         assert math.isclose(theta0, 1.11141002989095515, abs_tol=1e-9)
         kappa = vmf_kappa_for_classical_fidelity(0.91)
         assert math.isclose(kappa, 10.0, abs_tol=1e-6)
+
+    def test_bisect_needs_a_sign_change(self):
+        assert abs(_bisect(lambda x: x * x - 2.0, 0.0, 2.0, 1e-13) - math.sqrt(2.0)) <= 1e-13
+        assert _bisect(lambda x: 1.0 - x, 0.0, 1.0, 1e-13) == 1.0
+        with pytest.raises(ValueError, match="same sign"):
+            _bisect(lambda x: x * x + 1.0, -1.0, 1.0, 1e-13)
 
 
 class TestMatchByMeanAngle:

@@ -102,21 +102,26 @@ class TestSpreadMoments:
         assert math.isclose(s4, 1 - 2 * m[2] + m[4], rel_tol=1e-10)
 
     def test_vmf_against_high_precision(self):
-        # Var(cos^2 theta) and <sin^4 theta> from 50-digit quadrature of the
-        # vMF density, across both branch seams (the moment series at 0.25,
-        # the spread statistics' cut at 2)
+        # Var(cos^2 theta), <sin^4 theta> and <cos^k theta> (on (0, 10]) from
+        # 50-digit quadrature of the vMF density, across the branch cut at 2
         mp = pytest.importorskip("mpmath")
         kappas = [*np.linspace(0.0, 10.0, 21), 1e-8, 0.2499, 0.2501, 0.3, 1.9999, 2.0001]
         with mp.workdps(50):
             for kappa in kappas:
                 k = mp.mpf(float(kappa))
-                z, m2, m4, s4 = (mp.quad(lambda u, f=f: f(u) * mp.exp(k * (u - 1)), [-1, 1])
-                                 for f in (lambda u: 1, lambda u: u ** 2, lambda u: u ** 4,
-                                           lambda u: (1 - u * u) ** 2))
-                want = ((m4 / z - (m2 / z) ** 2), s4 / z)
+                z, *m, s4 = (mp.quad(lambda u, f=f: f(u) * mp.exp(k * (u - 1)), [-1, 1])
+                             for f in (lambda u: 1, lambda u: u, lambda u: u ** 2,
+                                       lambda u: u ** 3, lambda u: u ** 4,
+                                       lambda u: (1 - u * u) ** 2))
+                m = [mk / z for mk in m]
+                want = ((m[3] - m[1] ** 2), s4 / z)
                 got = spread_moments(VonMisesFisher(float(kappa)))
                 for g, w in zip(got, want):
                     assert abs(g - w) <= 1e-14 * w, (kappa, g, float(w))
+                if kappa > 0.0:
+                    got = cos_moments(VonMisesFisher(float(kappa)))[1:]
+                    for j, (g, w) in enumerate(zip(got, m), start=1):
+                        assert abs(g - w) <= 1e-14 * w, (kappa, j, g, float(w))
 
     def test_series_seam_is_smooth(self):
         below = spread_moments(VonMisesFisher(0.2499))
@@ -173,14 +178,29 @@ class TestMeanPolarAngle:
 
 
 def test_import_leaves_out_numerical_integration():
-    # a fresh interpreter: other test modules import scipy.integrate themselves
+    # a fresh interpreter (other test modules import scipy themselves): the
+    # library and one call of each CLI subcommand load no scipy module
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, telefid; print('scipy.integrate' in sys.modules)"
+    code = """if True:
+        import os, sys, telefid
+        from telefid import cli
+        for argv in (["sweep", "--conc", "0.8", "--dist", "vmf", "--grid", "0:3:4"],
+                     ["resources", "--dist", "cap", "--grid", "0.5:3:4", "--c-target", "0.8"],
+                     ["compare", "--conc", "0.5", "--criterion", "mean-polar-angle",
+                      "--grid", "0.5:1.5:3"],
+                     ["compare", "--conc", "0.5", "--criterion", "classical-fidelity",
+                      "--grid", "0.7:0.9:3"],
+                     ["qutrit", "--points", "4"],
+                     ["qutrit", "--eta", "--dim", "3", "--ensemble", "100"],
+                     ["verify", "--quick"]):
+            assert cli.main([*argv, "--out", os.devnull]) == 0, argv
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 class TestDensity:

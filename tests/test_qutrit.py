@@ -172,6 +172,12 @@ class TestInformation:
     def test_zero_target_is_half_pi(self):
         assert theta4_for_fractional_info(0.0) == math.pi / 2
 
+    def test_information_is_not_monotone(self):
+        # I_f crosses 0 at 0.991155 and is negative beyond it up to pi/2, so
+        # a small positive target maps below the crossing
+        assert qutrit_prior_information(1.21).fractional < 0.0
+        assert abs(theta4_for_fractional_info(1e-6) - 0.991155) < 1e-4
+
     def test_range_check(self):
         with pytest.raises(ValueError):
             theta4_for_fractional_info(-0.1)

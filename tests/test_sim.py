@@ -518,9 +518,15 @@ class TestGaussLegendreCache:
 
     @pytest.mark.parametrize("order", [1, 2, 48, 96, 160])
     def test_matches_numpy(self, order):
+        # numpy's own weights are the less accurate ones near the ends (1.5e-11
+        # relative at order 160 against 50-digit values, these 1.9e-13), so
+        # the weights match loosely and the exactness of the rule is pinned
         x, w = verify._leggauss(order)
-        ref = np.polynomial.legendre.leggauss(order)
-        assert np.array_equal(x, ref[0]) and np.array_equal(w, ref[1])
+        ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+        assert np.abs(x - ref_x).max() <= 2.3e-16
+        assert np.abs(w / ref_w - 1.0).max() <= 5e-11
+        for j in range(order):
+            assert abs(np.sum(w * x ** (2 * j)) - 2.0 / (2 * j + 1)) <= 1e-15, j
 
 
 _BUDGET_SCRIPT = """
