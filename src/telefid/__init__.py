@@ -21,8 +21,8 @@ from .qutrit import (QutritInput, QutritSharedState, dimensional_advantage,
                      participation_moment, qutrit_average_fidelity,
                      qutrit_classical_fidelity, qutrit_pointwise_fidelity,
                      qutrit_prior_information, theta4_for_fractional_info)
-from .sim import (ProtocolRun, SimReport, density_matrix, qubit_runs, qutrit_runs,
-                  simulate_classical, simulate_qubit, simulate_qutrit)
+from .sim import (ProtocolRun, ShotRecords, SimReport, density_matrix, qubit_runs,
+                  qutrit_runs, simulate_classical, simulate_qubit, simulate_qutrit)
 from .verify import CheckResult, run_check, run_verification, CHECK_NAMES
 
 __version__ = "0.1.0"
@@ -32,7 +32,7 @@ __all__ = [
     "ComparisonRow", "CorrelationTensor", "EstimatorReport", "FidelityStats",
     "InfoMeasure", "InputDistribution", "MatchCriterion", "MatchedPair",
     "PolarCap", "ProtocolRun", "PureSchmidt", "QutritInput", "QutritSharedState",
-    "SimReport", "StateFamily", "SubclassicalFidelityWarning", "Uniform",
+    "ShotRecords", "SimReport", "StateFamily", "SubclassicalFidelityWarning", "Uniform",
     "VonMisesFisher", "Werner", "average_fidelity", "bd_rank3_threshold",
     "bell_probabilities_averaged", "bell_probabilities_pointwise", "cc_cost",
     "classical_fidelity", "concurrence", "correlation_tensor", "cos_moments",

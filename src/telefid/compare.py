@@ -23,22 +23,52 @@ KAPPA_MAX = 1e3
 _XTOL = 1e-13
 
 
-def _bisect(f, lo: float, hi: float, xtol: float) -> float:
-    """A root of f in [lo, hi] by bisection, to within xtol or to adjacent
-    floats; ValueError unless f(lo) and f(hi) differ in sign (or one is 0)."""
+def _bracketed_root(f, lo: float, hi: float, xtol: float) -> float:
+    """A root of f in [lo, hi] to within xtol or to adjacent floats;
+    ValueError unless f(lo) and f(hi) differ in sign (or one is 0).
+
+    False position with the Anderson-Bjorck weight (Anderson & Bjorck, BIT
+    12, 301 (1973)): when the same end is kept twice, its f is scaled by
+    1 - f(new)/f(kept new end), or halved if that is not positive.  Each
+    point stays xtol/2 inside the bracket, so a converged iterate closes
+    it.  The bracket never loses a root, and a step bisects whenever it is
+    wider than half of what it was four evaluations before, as in Brent's
+    method, so progress is never slower than bisection by more than a
+    constant factor.
+    """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0 or fhi == 0.0:
         return lo if flo == 0.0 else hi
     if (flo < 0.0) == (fhi < 0.0):
         raise ValueError(f"f({lo!r}) and f({hi!r}) have the same sign")
+    kept = 0  # -1 after hi moved, +1 after lo moved, 0 after a bisection
+    widths = [hi - lo] * 4
     while True:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol or not lo < mid < hi:
+        width = hi - lo
+        if width <= xtol or not lo < mid < hi:
             return mid
-        if (f(mid) < 0.0) == (flo < 0.0):
-            lo = mid
+        if width > 0.5 * widths[0]:
+            x, kept, widths = mid, 0, [width] * 4
         else:
-            hi = mid
+            x = lo - flo * width / (fhi - flo)
+            x = min(max(x, lo + 0.5 * xtol), hi - 0.5 * xtol)
+            if not lo < x < hi:
+                x = mid
+            widths = widths[1:] + [width]
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (fhi < 0.0):
+            if kept == -1:
+                m = 1.0 - fx / fhi
+                flo *= m if m > 0.0 else 0.5
+            hi, fhi, kept = x, fx, -1
+        else:
+            if kept == 1:
+                m = 1.0 - fx / flo
+                fhi *= m if m > 0.0 else 0.5
+            lo, flo, kept = x, fx, 1
 
 
 class MatchCriterion(enum.Enum):
@@ -94,8 +124,8 @@ def vmf_kappa_for_classical_fidelity(target: float) -> float:
             f"reachable with kappa <= {KAPPA_MAX:g}")
     if target == 2.0 / 3.0:
         return 0.0
-    return _bisect(lambda k: classical_fidelity(VonMisesFisher(k)) - target,
-                   KAPPA_MIN, KAPPA_MAX, _XTOL)
+    return _bracketed_root(lambda k: classical_fidelity(VonMisesFisher(k)) - target,
+                           KAPPA_MIN, KAPPA_MAX, _XTOL)
 
 
 def match_by_mean_angle(target: float) -> MatchedPair:
@@ -114,10 +144,10 @@ def match_by_mean_angle(target: float) -> MatchedPair:
         raise ValueError(
             f"mean angle target {target!r} below {floor:.6f}, the smallest "
             f"reachable with kappa <= {KAPPA_MAX:g}")
-    theta0 = _bisect(lambda t: mean_polar_angle(PolarCap(t)) - target,
-                     1e-9, math.pi, _XTOL)
-    kappa = _bisect(lambda k: mean_polar_angle(VonMisesFisher(k)) - target,
-                    KAPPA_MIN, KAPPA_MAX, _XTOL)
+    theta0 = _bracketed_root(lambda t: mean_polar_angle(PolarCap(t)) - target,
+                             1e-9, math.pi, _XTOL)
+    kappa = _bracketed_root(lambda k: mean_polar_angle(VonMisesFisher(k)) - target,
+                            KAPPA_MIN, KAPPA_MAX, _XTOL)
     return MatchedPair(theta0, kappa, MatchCriterion.MEAN_POLAR_ANGLE, target)
 
 

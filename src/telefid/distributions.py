@@ -306,7 +306,14 @@ _SIN4_SERIES = tuple((-1) ** k * (4 ** (2 * k) - 4 ** (k + 1))
                      / (8 * math.factorial(2 * k) * (2 * k + 1)) for k in range(12, 1, -1))
 # F(pi); sin^4 is symmetric about pi/2, so F(pi - x) = F(pi) - F(x)
 _SIN4_PI = 0.375 * math.pi
-_NEWTON_STEPS = 4
+# theta = tau Q(tau^2) + O(4.1e-6) on [0, pi/2], tau = F(theta)^(1/5): Q
+# interpolates theta/tau at the 9 Chebyshev nodes in tau^2 on [0, F(pi/2)^(2/5)]
+# (roots to 40 digits), in powers of tau^2, highest first.  With
+# y = (5F)^(1/5) it is theta = y P(y^2), P(0) = 1 + 9.5e-7.
+_SIN4_START = (1.344287297038312, -3.326828675249613, 3.5612068985103917,
+               -1.9373154632119094, 0.657605183117681, -0.033929885580530283,
+               0.12410641332811467, 0.24988300798040147, 1.37973097837481)
+_NEWTON_STEPS = 2
 
 
 def _sin4_series(theta):
@@ -356,11 +363,12 @@ def _invert_sin4_antideriv(target, theta4_max: float) -> np.ndarray:
     antiderivative, for targets in [0, F(theta4_max)].
 
     Targets above F(pi)/2 fold onto [0, pi/2] through F(pi - x) =
-    F(pi) - F(x).  There four Newton steps on F^(1/5) = target^(1/5) start
-    from y (1 + 2 y^2/21), y = (5 target)^(1/5), the series of F inverted to
-    second order.  F^(1/5) is concave on (0, pi/2] and the start lies below
-    the root, so the steps climb to it without a bracket and never
-    overshoot; they leave |F(theta4) - target| within a few ulp of
+    F(pi) - F(x).  There two Newton steps on F^(1/5) = tau, tau =
+    target^(1/5), start from tau Q(tau^2) (_SIN4_START), which is within
+    4.1e-6 of the root; Newton's quadratic convergence takes that to
+    rounding in two steps.  F^(1/5) is concave on (0, pi/2], so a start
+    above the root lands below it after one step and the steps climb from
+    there.  They leave |F(theta4) - target| within a few ulp of
     F(theta4_max) plus sin^4(theta4) times an ulp of theta4.
     """
     # written in place where the arithmetic allows: each step's arrays are
@@ -368,10 +376,15 @@ def _invert_sin4_antideriv(target, theta4_max: float) -> np.ndarray:
     upper = target > 0.5 * _SIN4_PI
     t = target.copy()
     np.subtract(_SIN4_PI, target, out=t, where=upper)
-    tau = t ** 0.2
-    t *= 5.0
-    th4 = np.power(t, 0.2, out=t)
-    th4 += th4 * th4 * th4 * (2.0 / 21.0)
+    tau = np.power(t, 0.2, out=t)
+    t2 = tau * tau
+    th4 = t2 * _SIN4_START[0]
+    for coef in _SIN4_START[1:-1]:
+        th4 += coef
+        th4 *= t2
+    th4 += _SIN4_START[-1]
+    th4 *= tau
+    del t2
     for _ in range(_NEWTON_STEPS):
         # d F^(1/5)/d theta = sin^4 / (5 F^(4/5)); the 1e-300 keeps the
         # target-0 root at 0 instead of 0/0
@@ -386,12 +399,16 @@ def _invert_sin4_antideriv(target, theta4_max: float) -> np.ndarray:
         h *= r
         h *= r
         th4 -= h
+        # freed before the next step's F and sin are allocated
+        del f, s, h, r
     np.subtract(math.pi, th4, out=th4, where=upper)
     return np.minimum(th4, theta4_max, out=th4)
 
 
-def sample_qutrit_inputs(theta4_max: float, n: int, rng) -> np.ndarray:
-    """n qutrit input states, shape (n, 3) complex amplitudes (x, y, z).
+def sample_qutrit_inputs(theta4_max: float, n: int, rng, *,
+                         populations: bool = False) -> np.ndarray:
+    """n qutrit input states: shape (n, 3) complex amplitudes (x, y, z), or
+    with populations set the C-ordered (3, n) rows |x|^2, |y|^2, |z|^2.
 
     A point of S^5 is (s4 w, c4), s4 = sin(theta4), c4 = cos(theta4), with
     w uniform on S^4 and theta4 of density ~ sin^4(theta4) on
@@ -402,19 +419,44 @@ def sample_qutrit_inputs(theta4_max: float, n: int, rng) -> np.ndarray:
       x = s4 (w0 + i w1),  y = s4 |(w2, w3)|,  z = |(s4 w4, c4)|.
 
     The phases of y and z are dropped (they never enter any fidelity here),
-    so y and z come out real nonnegative; x keeps the explicit phase.
+    so y and z come out real nonnegative; x keeps the explicit phase.  The
+    populations are s4^2 (w0^2 + w1^2)/|w|^2, s4^2 (w2^2 + w3^2)/|w|^2 and
+    s4^2 w4^2/|w|^2 + c4^2, with no complex array, square root or hypot;
+    they equal |x|^2, |y|^2, |z|^2 of the same draws to a few ulp.  Both
+    forms make the same draws in the same order: the (n, 5) normal, then
+    the uniform draw for theta4.
     """
     if not 0.0 < theta4_max <= math.pi:
         raise ValueError(f"theta4_max={theta4_max!r} outside (0, pi]")
     if n < 0:
         raise ValueError("n must be >= 0")
     gen = np.random.default_rng(rng)
+    # the populations are allocated first: the draws and the inversion's
+    # transients then sit above them in the heap and, once freed, coalesce
+    # into one block, which the simulator's (d + K, n) product reuses
+    pops = np.empty((3, n)) if populations else None
     w = gen.standard_normal((n, 5))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    target = gen.random(n) * _sin4_antideriv(theta4_max)[0]
+    if not populations:
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+    target = gen.random(n)
+    target *= _sin4_antideriv(theta4_max)[0]
     th4 = _invert_sin4_antideriv(target, theta4_max)
-    s4, c4 = np.sin(th4), np.cos(th4)
+    del target
+    s4 = np.sin(th4)
+    c4 = np.cos(th4, out=th4)
     w = w.T
+    if populations:
+        # s4^2 / |w|^2 scales the squared rows; c4^2 joins |z|^2
+        w *= w
+        np.add(w[0], w[1], out=pops[0])
+        np.add(w[2], w[3], out=pops[1])
+        pops[2] = w[4]
+        s4 *= s4
+        s4 /= pops.sum(axis=0)
+        pops *= s4
+        c4 *= c4
+        pops[2] += c4
+        return pops
     # one amplitude per row, written through real views: no complex temporaries
     out = np.empty((3, n), dtype=complex)
     re, im = out.real, out.imag

@@ -2,32 +2,39 @@
 
 A protocol is built once per resource from its measurement and correction
 operators, never from the closed-form moments, as three pieces of data:
-coords(n, rng) -> (inputs, a) draws n inputs and gives the real
-coordinates a[:, j] that the protocol sees of input j; outcome k then has
-probability p_k = P_k . a, P the (K, d) outcome map; and p_k f_k =
-a^T M_k a, f_k the fidelity of the corrected output, M the (K, d, d)
-forms.  The qubit (Bell measurement; a the Bloch 4-vector), qutrit (Weyl
-measurement; a the populations |x_i|^2) and classical measure-and-prepare
-(z measurement; a = (1, cos theta)) protocols all run this way.  The qubit
-and classical inputs are the sampler's (cos theta, phi) rows: cos theta is
-what it draws, so it is never recomputed from theta.
+coords(n, rng, inputs=True) -> (inputs, a) draws n inputs and gives the
+real coordinates a[:, j] that the protocol sees of input j (with inputs
+False a protocol may skip building the inputs and return None for them);
+outcome k then has probability p_k = P_k . a, P the (K, d) outcome map; and
+p_k f_k = a^T M_k a, f_k the fidelity of the corrected output, M the
+(K, d, d) forms.  The qubit (Bell measurement; a the Bloch 4-vector),
+qutrit (Weyl measurement; a the populations |x_i|^2) and classical
+measure-and-prepare (z measurement; a = (1, cos theta)) protocols all run
+this way.  The qubit and classical inputs are the sampler's (cos theta,
+phi) rows: cos theta is what it draws, so it is never recomputed from
+theta.  The qutrit populations come straight from the sampler when the
+amplitudes are not asked for.
 
 `_simulate` reduces a protocol to the moments, with standard errors, of
 the outcome-summed fidelity sum_k p_k f_k = a^T G a, G = sum_k M_k, and to
-the frequencies of outcomes drawn from p = P a; `_shots` keeps one record
-per shot, with the fidelity a^T M_k a / p_k of its outcome.  Draws come in
-a fixed order: inputs first, then outcomes.  Each chunk gets its own child
-generator from SeedSequence.spawn and returns centred moments, which merge
-in chunk-index order, so results for a given (n_samples, seed) are
-identical for any thread count (TELEFID_THREADS env var, else 1).  The
-chunk threads are the only parallelism: each chunk's matrix products stay
-on its own thread (`_matmul`).
+the frequencies of outcomes drawn from p = P a, asking for coordinates
+only; `_shots` keeps the shots as columns (ShotRecords): the outcome, the
+fidelity a^T M_k a / p_k of that outcome and the drawn inputs, with a
+ProtocolRun built only when one is read.  Draws come in a fixed order:
+inputs first, then outcomes.  Each chunk gets its own child generator from
+SeedSequence.spawn and returns centred moments, which merge in chunk-index
+order, so results for a given (n_samples, seed) are identical for any
+thread count (TELEFID_THREADS env var, else 1).  The chunk threads are the
+only parallelism: each chunk's matrix products stay on its own thread
+(`_matmul`).
 """
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections import namedtuple
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -85,6 +92,50 @@ class ProtocolRun:
     output_fidelity: float
     input_direction: BlochDirection | None = None
     input_amplitudes: tuple[complex, ...] | None = None
+
+
+class ShotRecords(Sequence):
+    """Shot records held as read-only columns: `outcomes` (intp),
+    `fidelities` and `inputs`, the drawn input rows ((cos theta, phi) for
+    qubit shots, amplitudes (x, y, z) for qutrit shots).
+
+    A ProtocolRun is built only when a record is indexed or iterated over;
+    `fields(inputs)` gives the columns of the records' trailing fields
+    (input_direction, input_amplitudes).  A slice is a ShotRecords over
+    views of the columns.  A list of the same records compares unequal.
+    """
+
+    __slots__ = ("outcomes", "fidelities", "inputs", "_fields")
+
+    def __init__(self, outcomes: np.ndarray, fidelities: np.ndarray, inputs: np.ndarray,
+                 fields) -> None:
+        for column in (outcomes, fidelities, inputs):
+            column.flags.writeable = False
+        self.outcomes, self.fidelities, self.inputs = outcomes, fidelities, inputs
+        self._fields = fields
+
+    def __len__(self) -> int:
+        return len(self.outcomes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ShotRecords(self.outcomes[i], self.fidelities[i], self.inputs[i],
+                               self._fields)
+        i = operator.index(i)
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("shot index out of range")
+        i %= n
+        # through a one-row slice, so a record has the bits iteration gives it
+        return next(iter(self[i:i + 1]))
+
+    def __iter__(self):
+        return map(ProtocolRun, self.outcomes.tolist(), self.fidelities.tolist(),
+                   *self._fields(self.inputs))
+
+    def __reduce__(self):
+        # through __init__, so that unpickled columns are read-only again
+        return ShotRecords, (self.outcomes, self.fidelities, self.inputs, self._fields)
 
 
 @dataclass(frozen=True)
@@ -199,7 +250,7 @@ def _simulate(protocol: _Protocol, n_samples: int, seed: int,
     def chunk(job):
         m, child = job
         rng = np.random.default_rng(child)
-        a = coords(m, rng)[1]
+        a = coords(m, rng, inputs=False)[1]
         gp = _matmul(stacked, a)
         gp[:dim] *= a
         # the coordinates are spent: freeing them now lets the rest of the
@@ -233,15 +284,15 @@ def _simulate(protocol: _Protocol, n_samples: int, seed: int,
                      tuple((counts / n_samples).tolist()), n_samples, seed)
 
 
-def _shots(protocol: _Protocol, n_runs: int, seed: int, fields) -> list[ProtocolRun]:
-    """One ProtocolRun per shot; `fields(inputs)` gives the columns of the
-    records' trailing fields (input_direction, input_amplitudes)."""
+def _shots(protocol: _Protocol, n_runs: int, seed: int, fields) -> ShotRecords:
+    """The shots' outcomes, their fidelities and the drawn inputs as columns;
+    `fields(inputs)` gives the columns of the records' trailing fields."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     inputs, a = protocol.coords(n_runs, rng)
     p = _matmul(protocol.outcomes, a)
     k = _sample_outcomes(p.copy(), rng)
     fid = np.einsum('nij,in,jn->n', protocol.forms[k], a, a) / p[k, np.arange(n_runs)]
-    return list(map(ProtocolRun, k.tolist(), fid.tolist(), *fields(inputs)))
+    return ShotRecords(k, fid, inputs, fields)
 
 
 def _qubit_protocol(shared: CorrelationTensor | StateFamily,
@@ -263,7 +314,7 @@ def _qubit_protocol(shared: CorrelationTensor | StateFamily,
     forms = 0.25 * np.einsum('mxy,kyb,knbd,kxd->kmn', PAULI, CORR, s, CORR.conj(),
                              optimize=True).real
 
-    def coords(n: int, rng):
+    def coords(n: int, rng, inputs: bool = True):
         up = sample_directions(dist, n, rng, cos_theta=True)
         u, phi = up.T
         a = np.empty((4, n))
@@ -290,7 +341,7 @@ def _classical_protocol(dist: InputDistribution) -> _Protocol:
     """
     outcomes = 0.5 * np.array([[1.0, 1.0], [1.0, -1.0]])
 
-    def coords(n: int, rng):
+    def coords(n: int, rng, inputs: bool = True):
         up = sample_directions(dist, n, rng, cos_theta=True)
         a = np.empty((2, n))
         a[0] = 1.0
@@ -313,7 +364,9 @@ def _qutrit_protocol(shared, theta4_max: float) -> _Protocol:
     f, outcomes = (np.einsum('kij,j,kij->ki', WEYL, w, WEYL.conj()).real
                    for w in (np.sqrt(weights / 3.0), weights / 3.0))
 
-    def coords(n: int, rng):
+    def coords(n: int, rng, inputs: bool = True):
+        if not inputs:
+            return None, sample_qutrit_inputs(theta4_max, n, rng, populations=True)
         amps = sample_qutrit_inputs(theta4_max, n, rng)
         # one contiguous row per population keeps numpy's loops fast
         v = np.square(amps.real.T, order='C')
@@ -334,12 +387,21 @@ def simulate_qubit(shared: CorrelationTensor | StateFamily, dist: InputDistribut
     return _simulate(_qubit_protocol(shared, dist), n_samples, seed, threads)
 
 
+def _directions(up: np.ndarray) -> list:
+    # arccos of a contiguous column: numpy's vector and strided loops may
+    # round differently, and a stepped slice of the records is strided
+    theta = np.arccos(np.ascontiguousarray(up[:, 0]))
+    return [map(BlochDirection, theta.tolist(), up[:, 1].tolist())]
+
+
 def qubit_runs(shared: CorrelationTensor | StateFamily, dist: InputDistribution,
-               n_runs: int, seed: int = 0) -> list[ProtocolRun]:
-    """Shot-level records: sampled outcome and its conditional fidelity."""
-    return _shots(_qubit_protocol(shared, dist), n_runs, seed,
-                  lambda up: [map(BlochDirection, np.arccos(up[:, 0]).tolist(),
-                                  up[:, 1].tolist())])
+               n_runs: int, seed: int = 0) -> ShotRecords:
+    """Shot-level records: sampled outcome and its conditional fidelity.
+
+    The inputs column holds the drawn (cos theta, phi); a record's
+    input_direction is (arccos of it, phi).
+    """
+    return _shots(_qubit_protocol(shared, dist), n_runs, seed, _directions)
 
 
 def simulate_classical(dist: InputDistribution, n_samples: int, seed: int = 0,
@@ -358,8 +420,12 @@ def simulate_qutrit(shared, theta4_max: float, n_samples: int, seed: int = 0,
     return _simulate(_qutrit_protocol(shared, theta4_max), n_samples, seed, threads)
 
 
+def _amplitudes(amps: np.ndarray) -> list:
+    return [repeat(None), zip(*amps.T.tolist())]
+
+
 def qutrit_runs(shared, theta4_max: float, n_runs: int,
-                seed: int = 0) -> list[ProtocolRun]:
-    """Shot-level qutrit records, one Weyl outcome per run."""
-    return _shots(_qutrit_protocol(shared, theta4_max), n_runs, seed,
-                  lambda amps: [repeat(None), zip(*amps.T.tolist())])
+                seed: int = 0) -> ShotRecords:
+    """Shot-level qutrit records, one Weyl outcome per run; the inputs
+    column holds the drawn amplitudes."""
+    return _shots(_qutrit_protocol(shared, theta4_max), n_runs, seed, _amplitudes)

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from telefid.compare import (MatchCriterion, _bisect, cap_theta0_for_classical_fidelity,
-                             delta_stats, match_by_classical_fidelity,
-                             match_by_mean_angle, sweep_comparison,
-                             vmf_kappa_for_classical_fidelity)
+from telefid.compare import (KAPPA_MAX, KAPPA_MIN, MatchCriterion, _XTOL, _bracketed_root,
+                             cap_theta0_for_classical_fidelity, delta_stats,
+                             match_by_classical_fidelity, match_by_mean_angle,
+                             sweep_comparison, vmf_kappa_for_classical_fidelity)
 from telefid.core import PolarCap, PureSchmidt, VonMisesFisher, Werner
 from telefid.distributions import mean_polar_angle
 from telefid.fidelity import classical_fidelity, fidelity_stats
+from telefid.qutrit import _THETA4_FLOOR, participation_moment
 
 
 class TestInversions:
@@ -38,10 +39,73 @@ class TestInversions:
         assert math.isclose(kappa, 10.0, abs_tol=1e-6)
 
     def test_bisect_needs_a_sign_change(self):
-        assert abs(_bisect(lambda x: x * x - 2.0, 0.0, 2.0, 1e-13) - math.sqrt(2.0)) <= 1e-13
-        assert _bisect(lambda x: 1.0 - x, 0.0, 1.0, 1e-13) == 1.0
+        root = _bracketed_root(lambda x: x * x - 2.0, 0.0, 2.0, 1e-13)
+        assert abs(root - math.sqrt(2.0)) <= 1e-13
+        assert _bracketed_root(lambda x: 1.0 - x, 0.0, 1.0, 1e-13) == 1.0
         with pytest.raises(ValueError, match="same sign"):
-            _bisect(lambda x: x * x + 1.0, -1.0, 1.0, 1e-13)
+            _bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-13)
+
+
+def _bisection(f, lo, hi, xtol):
+    # the matchers' former root finder: plain bisection on the same bracket
+    flo = f(lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= xtol or not lo < mid < hi:
+            return mid
+        if (f(mid) < 0.0) == (flo < 0.0):
+            lo = mid
+        else:
+            hi = mid
+
+
+_FLOOR = mean_polar_angle(VonMisesFisher(KAPPA_MAX))
+
+
+class TestRootFinder:
+    """Each call site lands where bisection did, in few evaluations."""
+
+    SITES = {
+        "cap-mean-angle": (lambda t: lambda x: mean_polar_angle(PolarCap(x)) - t,
+                           1e-9, math.pi, _XTOL, np.linspace(_FLOOR, math.pi / 2 - 0.01, 41)),
+        "vmf-mean-angle": (lambda t: lambda k: mean_polar_angle(VonMisesFisher(k)) - t,
+                           KAPPA_MIN, KAPPA_MAX, _XTOL,
+                           np.linspace(_FLOOR, math.pi / 2 - 0.01, 41)),
+        "vmf-classical-fidelity": (
+            lambda t: lambda k: classical_fidelity(VonMisesFisher(k)) - t,
+            KAPPA_MIN, KAPPA_MAX, _XTOL, np.linspace(0.67, 0.99, 41)),
+        "fractional-info": (
+            lambda t: lambda x: 2.0 * participation_moment(x) - 1.0 - t,
+            _THETA4_FLOOR, math.pi / 2, 1e-12,
+            np.concatenate([np.geomspace(1e-9, 1e-2, 8), np.linspace(0.01, 0.99, 41)])),
+    }
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_matches_bisection_in_few_evaluations(self, site):
+        make, lo, hi, xtol, targets = self.SITES[site]
+        for target in targets:
+            f = make(float(target))
+            xs = []
+            root = _bracketed_root(lambda x: xs.append(x) or f(x), lo, hi, xtol)
+            want = _bisection(f, lo, hi, xtol)
+            # where f is flat its rounding (~2e-16) moves the root by more than
+            # xtol, for bisection as much as for any other method
+            h = 1e-7 * want
+            slope = abs(f(want + h) - f(want - h)) / (2.0 * h)
+            assert abs(root - want) <= xtol + 4e-16 / slope, (target, root, want)
+            # I_f is nearly flat at pi/2 (it returns to 0 there), so a target
+            # just above 0 keeps one end of the bracket pinned for a few steps
+            assert len(xs) <= (16 if site == "fractional-info" and target < 2e-3 else 15), \
+                (target, len(xs))
+
+    def test_slow_interpolation_falls_back_to_bisection(self):
+        # a flat tail pins false position at one end; the bisection guard keeps
+        # the count within a small multiple of plain bisection's 53
+        xs = []
+        root = _bracketed_root(lambda x: xs.append(x) or math.copysign(abs(x) ** 9, x) - 1e-30,
+                               -1.0, 3.0, 1e-13)
+        assert abs(root - 1e-30 ** (1 / 9)) <= 1e-13
+        assert len(xs) <= 4 * 53
 
 
 class TestMatchByMeanAngle:

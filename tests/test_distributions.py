@@ -2,15 +2,17 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from telefid import distributions
 from telefid.core import PolarCap, Uniform, VonMisesFisher, BlochDirection
-from telefid.distributions import (_invert_sin4_antideriv, _sin4_antideriv,
-                                   cos_moments, density, mean_polar_angle,
+from telefid.distributions import (_NEWTON_STEPS, _SPREAD_CUT, _invert_sin4_antideriv,
+                                   _sin4_antideriv, cos_moments, density, mean_polar_angle,
                                    sample_directions, sample_qutrit_inputs,
                                    spread_moments)
 from telefid.qutrit import participation_moment
@@ -123,12 +125,15 @@ class TestSpreadMoments:
                     for j, (g, w) in enumerate(zip(got, m), start=1):
                         assert abs(g - w) <= 1e-14 * w, (kappa, j, g, float(w))
 
-    def test_series_seam_is_smooth(self):
-        below = spread_moments(VonMisesFisher(0.2499))
-        above = spread_moments(VonMisesFisher(0.2501))
+    def test_spread_cut_seam_is_smooth(self):
+        # vMF moments and spread statistics switch from the Legendre ratios to
+        # the coth recursion at _SPREAD_CUT
+        assert _SPREAD_CUT == 2.0
+        below = spread_moments(VonMisesFisher(1.9999))
+        above = spread_moments(VonMisesFisher(2.0001))
         assert abs(below[0] - above[0]) < 1e-6
         # a straddle is not a match; check each side against raw moments
-        for kappa in (0.2499, 0.2501):
+        for kappa in (1.9999, 2.0001):
             m = cos_moments(VonMisesFisher(kappa))
             v2c, _ = spread_moments(VonMisesFisher(kappa))
             assert math.isclose(v2c, m[4] - m[2] ** 2, rel_tol=1e-10)
@@ -305,6 +310,79 @@ class TestQutritSampling:
         m_small, se_small = scaled_angle(1e-4)
         m_ref, se_ref = scaled_angle(0.05)
         assert abs(m_small - m_ref) < 4.0 * math.hypot(se_small, se_ref)
+
+
+class TestQutritPopulations:
+    """populations=True gives |x|^2, |y|^2, |z|^2 of the same draws directly."""
+
+    CAPS = [math.pi, 2.0, math.pi / 2, 0.8, 0.3, 1e-3]
+
+    @pytest.mark.parametrize("theta4_max", CAPS)
+    def test_matches_amplitudes(self, theta4_max):
+        amps = sample_qutrit_inputs(theta4_max, 40000, np.random.default_rng(17))
+        pops = sample_qutrit_inputs(theta4_max, 40000, np.random.default_rng(17),
+                                    populations=True)
+        assert pops.shape == (3, 40000) and pops.dtype == np.float64
+        assert pops.flags.c_contiguous
+        # populations lie in [0, 1]: 4 ulp of 1 bounds every entry's error
+        ulp = np.spacing(1.0)
+        assert np.abs(pops - (np.abs(amps) ** 2).T).max() <= 4 * ulp
+        assert np.abs(pops.sum(axis=0) - 1.0).max() <= 4 * ulp
+        assert pops.min() >= 0.0
+        if theta4_max <= math.pi / 2:
+            assert pops[2].min() >= math.cos(theta4_max) ** 2
+
+    def test_same_draws(self):
+        # both forms leave the generator in the same state
+        g1, g2 = np.random.default_rng(5), np.random.default_rng(5)
+        sample_qutrit_inputs(1.0, 1001, g1)
+        sample_qutrit_inputs(1.0, 1001, g2, populations=True)
+        assert g1.random() == g2.random()
+
+    def test_no_amplitudes_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the populations path called hypot or norm")
+        monkeypatch.setattr(np, "hypot", refuse)
+        monkeypatch.setattr(np.linalg, "norm", refuse)
+        pops = sample_qutrit_inputs(0.7, 100, np.random.default_rng(2), populations=True)
+        assert pops.shape == (3, 100)
+
+    def test_empty(self):
+        assert sample_qutrit_inputs(1.0, 0, np.random.default_rng(0),
+                                    populations=True).shape == (3, 0)
+
+    def test_peak_memory(self):
+        n = 40000
+
+        def peak(**kwargs):
+            sample_qutrit_inputs(math.pi, n, np.random.default_rng(1), **kwargs)
+            tracemalloc.start()
+            try:
+                sample_qutrit_inputs(math.pi, n, np.random.default_rng(1), **kwargs)
+                return tracemalloc.get_traced_memory()[1] / (8 * n)
+            finally:
+                tracemalloc.stop()
+        # in arrays of n doubles, with numpy 2.4: 14.0 for the amplitudes, and
+        # 15.3 for the populations, whose normal stays live through the
+        # inversion above them; the simulator's chunk then reuses that space
+        # for its (12, n) product, where a lower peak made glibc map it anew.
+        # The simulator's amplitude-then-square draw peaked at 16.0 before.
+        assert peak() < 15.0
+        assert peak(populations=True) < 16.0
+
+
+class TestSin4Start:
+    """The fitted start of the sin^4 CDF inversion is within 1e-5 of the root."""
+
+    def test_start_within_fit_error(self, monkeypatch):
+        half = float(_sin4_antideriv(math.pi / 2)[0])
+        target = np.concatenate([np.linspace(0.0, half, 100001),
+                                 half * np.geomspace(1e-15, 1.0, 400)])
+        root = _invert_sin4_antideriv(target, math.pi / 2)
+        monkeypatch.setattr(distributions, "_NEWTON_STEPS", 0)
+        start = _invert_sin4_antideriv(target, math.pi / 2)
+        assert np.abs(start - root).max() <= 1e-5
+        assert _NEWTON_STEPS == 2
 
 
 class TestSin4Antiderivative:

@@ -1,11 +1,12 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from telefid import qutrit
-from telefid.qutrit import (QutritInput, QutritSharedState,
+from telefid.qutrit import (_THETA4_FLOOR, QutritInput, QutritSharedState,
                             dimensional_advantage, participation_moment,
                             qutrit_average_fidelity, qutrit_classical_fidelity,
                             qutrit_pointwise_fidelity,
@@ -177,6 +178,18 @@ class TestInformation:
         # a small positive target maps below the crossing
         assert qutrit_prior_information(1.21).fractional < 0.0
         assert abs(theta4_for_fractional_info(1e-6) - 0.991155) < 1e-4
+
+    def test_bracket_has_one_sign_change_for_positive_targets(self):
+        # I_f falls strictly from the bracket's lower end to its minimum near
+        # 1.2109, then rises to exactly 0 at pi/2: for every target > 0,
+        # I_f - target is positive below its root and negative from there to
+        # pi/2, although I_f turns inside the bracket
+        t = np.linspace(_THETA4_FLOOR, math.pi / 2, 20001)
+        i_f = np.array([2.0 * participation_moment(x) - 1.0 for x in t])
+        turn = int(np.argmin(i_f))
+        assert abs(t[turn] - 1.2109) < 1e-3
+        assert np.all(np.diff(i_f[:turn + 1]) < 0.0)
+        assert np.all(i_f[turn:] <= 0.0) and i_f[-1] == 0.0
 
     def test_range_check(self):
         with pytest.raises(ValueError):

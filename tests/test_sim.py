@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -7,15 +8,16 @@ import warnings
 import numpy as np
 import pytest
 
-from telefid.core import (BellDiagonal, CorrelationTensor, PolarCap, PureSchmidt,
+from telefid.core import (BellDiagonal, BlochDirection, CorrelationTensor, PolarCap, PureSchmidt,
                           Uniform, VonMisesFisher, Werner, correlation_tensor)
 from telefid.distributions import sample_directions
 from telefid.fidelity import classical_fidelity, fidelity_stats
 from telefid.qutrit import (QutritSharedState, qutrit_average_fidelity)
 from telefid.resources import bell_probabilities_averaged
 from telefid import sim, verify
-from telefid.sim import (BELL, CORR, WEYL, _BLOCK, _CHUNK, SimReport, _classical_protocol,
-                         _matmul, _merge, _qubit_protocol, _qutrit_protocol,
+from telefid.sim import (BELL, CORR, WEYL, _BLOCK, _CHUNK, ProtocolRun, ShotRecords, SimReport,
+                         _classical_protocol, _matmul, _merge, _qubit_protocol,
+                         _qutrit_protocol, _sample_outcomes,
                          density_matrix, qubit_runs, qutrit_runs, simulate_classical,
                          simulate_qubit, simulate_qutrit)
 
@@ -139,13 +141,20 @@ class TestQutritKernelAgainstProtocolChain:
     @pytest.mark.parametrize("weights", [(0.5, 0.3), (1.0, 0.0), (1 / 3, 1 / 3), (0.6, 0.0)],
                              ids=["generic", "product", "maximal", "two-level"])
     def test_matches_explicit_chain(self, weights, monkeypatch):
-        def haar_inputs(theta4_max, n, rng):
+        def haar_inputs(theta4_max, n, rng, *, populations=False):
             # complex y and z, which the S^5 sampler never produces
             g = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-            return g / np.linalg.norm(g, axis=1, keepdims=True)
+            g /= np.linalg.norm(g, axis=1, keepdims=True)
+            return np.ascontiguousarray((np.abs(g) ** 2).T) if populations else g
         monkeypatch.setattr(sim, "sample_qutrit_inputs", haar_inputs)
         shared = QutritSharedState(*weights)
-        amps, num, p = _evaluate(_qutrit_protocol(shared, math.pi), 64, 37)
+        protocol = _qutrit_protocol(shared, math.pi)
+        amps, num, p = _evaluate(protocol, 64, 37)
+        # the simulator's coordinates-only draw sees the same populations
+        none, a = protocol.coords(64, np.random.default_rng(37), inputs=False)
+        assert none is None
+        assert np.allclose(a, protocol.coords(64, np.random.default_rng(37))[1],
+                           rtol=0.0, atol=4 * np.spacing(1.0))
         assert np.abs(amps[:, 1:].imag).min() > 0.0
         for n, x in enumerate(amps):
             p_ref, num_ref = self._chain(x, shared.weights())
@@ -418,6 +427,71 @@ class TestRunRecords:
             assert abs(run.output_fidelity - 1.0) < 1e-12
 
 
+def _records_as_lists(protocol, n_runs, seed, fields):
+    """Shot records built the way _shots built them as a list: one ProtocolRun
+    per shot, from the same draws."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    inputs, a = protocol.coords(n_runs, rng)
+    p = _matmul(protocol.outcomes, a)
+    k = _sample_outcomes(p.copy(), rng)
+    fid = np.einsum('nij,in,jn->n', protocol.forms[k], a, a) / p[k, np.arange(n_runs)]
+    return list(map(ProtocolRun, k.tolist(), fid.tolist(), *fields(inputs)))
+
+
+class TestShotRecords:
+    """Shots are columns; the records read from them are the list's records."""
+
+    @pytest.fixture(params=["qubit", "qutrit"])
+    def pair(self, request):
+        n = 301
+        if request.param == "qubit":
+            state, dist = BellDiagonal((0.5, 0.3, 0.15, 0.05)), PolarCap(1.2)
+            old = _records_as_lists(
+                _qubit_protocol(state, dist), n, 23,
+                lambda up: [map(BlochDirection, np.arccos(up[:, 0]).tolist(),
+                                up[:, 1].tolist())])
+            return qubit_runs(state, dist, n, seed=23), old
+        shared = QutritSharedState(0.5, 0.3)
+        old = _records_as_lists(_qutrit_protocol(shared, 1.1), n, 29,
+                                lambda amps: [[None] * n, zip(*amps.T.tolist())])
+        return qutrit_runs(shared, 1.1, n, seed=29), old
+
+    def test_sequence_protocol(self, pair):
+        runs, old = pair
+        n = len(old)
+        assert isinstance(runs, ShotRecords) and len(runs) == n
+        assert list(runs) == old
+        assert [runs[i] for i in range(n)] == old
+        for i in (0, 7, n - 1, -1, -n, np.int64(5), np.intp(-3)):
+            assert runs[i] == old[i]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                runs[i]
+        with pytest.raises(TypeError):
+            runs[1.0]
+        for cut in (slice(3, 10), slice(None, None, -3), slice(-5, None), slice(4, 4)):
+            part = runs[cut]
+            assert isinstance(part, ShotRecords) and list(part) == old[cut]
+        assert old[9] in runs and runs.index(old[9]) == old.index(old[9])
+        assert list(reversed(runs)) == old[::-1]
+        # a list of the same records is a different type: the API changed
+        assert runs != old
+
+    def test_columns(self, pair):
+        runs, old = pair
+        assert runs.outcomes.dtype == np.intp
+        assert runs.outcomes.tolist() == [r.bell_outcome for r in old]
+        assert runs.fidelities.tolist() == [r.output_fidelity for r in old]
+        assert len(runs.inputs) == len(old)
+        copy = pickle.loads(pickle.dumps(runs))
+        assert list(copy) == old
+        for column in (runs.outcomes, runs.fidelities, runs.inputs, runs[2:9].inputs,
+                       copy.outcomes, copy.fidelities, copy.inputs):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+
 class TestValidation:
     def test_sample_count(self):
         with pytest.raises(ValueError):
@@ -535,6 +609,9 @@ from telefid.core import BellDiagonal, VonMisesFisher
 from telefid.sim import simulate_qubit
 args = (BellDiagonal((0.4, 0.3, 0.2, 0.1)), VonMisesFisher(30.0), 1 << 17)
 simulate_qubit(*args)
+# importing numpy leaves OpenBLAS's helper thread spinning for up to ~0.1 s;
+# let that end, so that only the simulator's own calls are measured
+time.sleep(0.5)
 wall, cpu = time.perf_counter(), time.process_time()
 for seed in range(5):
     simulate_qubit(*args, seed=seed)
